@@ -26,8 +26,7 @@ from .errors import (
     RankDeficientError,
     SupportViolationError,
 )
-from .latent_space import ScalingConfig, adjusted_gram, estimate_latent_space
-from .matrix_core import sym_eigen
+from .latent_space import ScalingConfig, estimate_latent_space
 from .matrixio import format_value, read_matrix_csv, read_vector_csv, write_matrix_csv
 from .nef_qvf import Family, family_to_dict
 from .simulation import (
@@ -444,7 +443,7 @@ def cmd_rank_sweep(args) -> int:
         dk = estimate_dk_qvf(data, fam)
     except SupportViolationError as exc:
         raise CliError(str(exc), code=EXIT_SUPPORT)
-    eig = sym_eigen(adjusted_gram(data, dk))
+    eig = estimate_latent_space(data, dk, rank=n).eigen
 
     rows = []
     for r in r_grid:

@@ -6,11 +6,11 @@ class LatentSpecError(Exception):
 
 
 class NotSymmetricError(LatentSpecError):
-    """Input matrix is not symmetric within the requested tolerance."""
+    """Input matrix is not symmetric within the tolerance."""
 
 
 class NoConvergenceError(LatentSpecError):
-    """Eigensolver sweep cap exceeded before reaching the tolerance."""
+    """The eigensolver reported that it did not converge."""
 
 
 class OutOfSupportError(LatentSpecError):

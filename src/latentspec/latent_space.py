@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGridError, InvalidParameterError, LengthMismatchError
-from .matrix_core import (
-    DEFAULT_EIGEN_TOL,
-    SymmetricEigen,
-    as_values,
-    gram_scaled,
-    sym_eigen,
-)
+from .matrix_core import SymmetricEigen, as_values, gram_scaled, sym_eigen
 from .variance_estimation import VarianceEstimate
 
 ETA_DEFAULT = 1.0 / 3.0
@@ -277,8 +271,7 @@ def estimate_rank(eig, k: int, cfg: ScalingConfig | None = None) -> RankEstimate
 
 
 def estimate_latent_space(y, d, rank="auto",
-                          cfg: ScalingConfig | None = None,
-                          eigen_tol: float = DEFAULT_EIGEN_TOL) -> SubspaceEstimate:
+                          cfg: ScalingConfig | None = None) -> SubspaceEstimate:
     """Estimate the latent row space from data and a variance correction.
 
     Pipeline: adjusted gram -> eigendecomposition -> rank (automatic via
@@ -291,7 +284,7 @@ def estimate_latent_space(y, d, rank="auto",
     arr = as_values(y)
     k, n = arr.shape
     g = adjusted_gram(arr, d)
-    eig = sym_eigen(g, tol=eigen_tol)
+    eig = sym_eigen(g)
 
     rank_record = None
     fixed = None

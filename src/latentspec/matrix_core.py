@@ -1,14 +1,14 @@
 """Dense real matrix primitives used by the whole pipeline.
 
 Provides the Frobenius norm, the scaled gram matrix of a data matrix, and a
-deterministic symmetric eigendecomposition (cyclic Jacobi rotations).  All
-computation is in 64-bit floating point and everything downstream reduces to
-n x n problems, so no large decompositions are ever needed.
+symmetric eigendecomposition (LAPACK ``eigh`` with the eigenvectors' sign
+and order made canonical).  All computation is in 64-bit floating point and
+everything downstream reduces to n x n problems, so no large decompositions
+are ever needed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +19,7 @@ from .errors import (
     NotSymmetricError,
 )
 
-DEFAULT_EIGEN_TOL = 1e-10
-MAX_JACOBI_SWEEPS = 100
+SYMMETRY_TOL = 1e-10
 MAX_EIGEN_DIM = 512
 
 
@@ -118,40 +117,39 @@ class SymmetricEigen:
         return self.eigenvalues.shape[0]
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(v)))
-    if v[i] < 0.0:
-        return -v
-    return v
+def _fix_sign(vectors: np.ndarray) -> np.ndarray:
+    """Negate each column whose largest-magnitude entry (first on ties) is < 0."""
+    if vectors.size == 0:
+        return vectors
+    n = vectors.shape[1]
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(n)]
+    return np.where(lead < 0.0, -vectors, vectors)
 
 
-def sym_eigen(a, tol: float = DEFAULT_EIGEN_TOL,
-              max_sweeps: int = MAX_JACOBI_SWEEPS) -> SymmetricEigen:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def sym_eigen(a) -> SymmetricEigen:
+    """Eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
     Parameters
     ----------
     a : (n, n) array_like
         Symmetric matrix, n <= 512.  Symmetry is checked relative to the
-        Frobenius norm: max |A_ij - A_ji| <= tol * ||A||_F.
-    tol : float
-        Relative convergence tolerance on the off-diagonal norm.
-    max_sweeps : int
-        Cap on full (p, q) sweeps.
+        Frobenius norm: max |A_ij - A_ji| <= 1e-10 * ||A||_F.  The matrix is
+        symmetrised before it is factored.
 
     Returns
     -------
     SymmetricEigen
-        Deterministic: identical input bits give identical output bits.
+        Sign-fixed and ordered as documented there.  Identical input bits
+        give identical output bits for a fixed BLAS thread count.
 
     Raises
     ------
     NotSymmetricError
         If the symmetry check fails.
     NoConvergenceError
-        If the sweep cap is exceeded.
+        If LAPACK reports that the factorization did not converge.
     """
-    A = _as_2d_float(a, "matrix").copy()
+    A = _as_2d_float(a, "matrix")
     n = A.shape[0]
     if A.shape[1] != n:
         raise InvalidParameterError(f"matrix must be square, got {A.shape}")
@@ -159,72 +157,21 @@ def sym_eigen(a, tol: float = DEFAULT_EIGEN_TOL,
         raise InvalidParameterError(
             f"dimension {n} exceeds the configured cap {MAX_EIGEN_DIM}"
         )
-
-    fro = frobenius_norm(A)
     if n > 1:
         asym = float(np.max(np.abs(A - A.T)))
-        if asym > tol * max(fro, np.finfo(float).tiny):
+        if asym > SYMMETRY_TOL * max(frobenius_norm(A), np.finfo(float).tiny):
             raise NotSymmetricError(
-                f"max asymmetry {asym:.3e} exceeds {tol:.1e} * ||A||_F"
+                f"max asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.1e} * ||A||_F"
             )
     A = (A + A.T) / 2.0
 
-    V = np.eye(n)
-    if fro > 0.0 and n > 1:
-        # Skipping rotations below this leaves the off-norm within tolerance.
-        skip = tol * fro / (n * math.sqrt(2.0))
-        converged = False
-        for _ in range(max_sweeps):
-            # Sum squared off-diagonals directly; the sum(A^2) - sum(diag^2)
-            # form cancels catastrophically once off << fro.
-            od = A.copy()
-            np.fill_diagonal(od, 0.0)
-            off2 = float(np.sum(od * od))
-            if off2 <= (tol * fro) ** 2:
-                converged = True
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = A[p, q]
-                    if abs(apq) <= skip:
-                        continue
-                    theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                    t = math.copysign(
-                        1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0)),
-                        theta if theta != 0.0 else 1.0,
-                    )
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-                    app, aqq = A[p, p], A[q, q]
-                    col_p = A[:, p].copy()
-                    col_q = A[:, q].copy()
-                    A[:, p] = c * col_p - s * col_q
-                    A[:, q] = s * col_p + c * col_q
-                    row_p = A[p, :].copy()
-                    row_q = A[q, :].copy()
-                    A[p, :] = c * row_p - s * row_q
-                    A[q, :] = s * row_p + c * row_q
-                    A[p, p] = app - t * apq
-                    A[q, q] = aqq + t * apq
-                    A[p, q] = 0.0
-                    A[q, p] = 0.0
-                    v_p = V[:, p].copy()
-                    v_q = V[:, q].copy()
-                    V[:, p] = c * v_p - s * v_q
-                    V[:, q] = s * v_p + c * v_q
-        if not converged:
-            od = A.copy()
-            np.fill_diagonal(od, 0.0)
-            off2 = float(np.sum(od * od))
-            if off2 > (tol * fro) ** 2:
-                raise NoConvergenceError(
-                    f"no convergence in {max_sweeps} sweeps "
-                    f"(off-norm {math.sqrt(off2):.3e})"
-                )
+    try:
+        vals, vecs = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigh did not converge: {exc}") from exc
 
-    vals = np.diag(A).copy()
-    cols = [_fix_sign(V[:, i].copy()) for i in range(n)]
-    order = sorted(range(n), key=lambda i: (-vals[i], tuple(-cols[i])))
-    eigenvalues = vals[order]
-    eigenvectors = np.column_stack([cols[i] for i in order]) if n else V
-    return SymmetricEigen(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    vecs = _fix_sign(vecs)
+    # Descending eigenvalues; exact ties ordered by the sign-fixed vectors,
+    # compared lexicographically from the first entry.
+    order = np.lexsort(np.vstack([-vecs[::-1], -vals]))
+    return SymmetricEigen(eigenvalues=vals[order], eigenvectors=vecs[:, order])

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError, OutOfSupportError
-from .latent_space import ScalingConfig, adjusted_gram, estimate_rank
-from .matrix_core import DataMatrix, sym_eigen
+from .latent_space import ScalingConfig, estimate_latent_space
+from .matrix_core import DataMatrix
 from .nef_qvf import Family, variance_from_mean
 from .subspace_metrics import subspace_distance
 from .variance_estimation import VarianceEstimate, dk_error, estimate_dk_qvf, known_unit
@@ -316,16 +316,14 @@ def _run_one(cfg: ScenarioConfig, rep_index: int) -> RepRecord:
             dk = estimate_dk_qvf(y, draw.family)
         rho = dk_error(dk, draw.true_deltas)
 
-        g = adjusted_gram(y, dk)
-        eig = sym_eigen(g)
-        rank = estimate_rank(eig, cfg.k, cfg.scaling)
+        est = estimate_latent_space(y, dk, rank="auto", cfg=cfg.scaling)
+        rank = est.rank
         r_hat = rank.r_hat
 
-        m_fixed = eig.eigenvectors[:, :cfg.r].T
+        m_fixed = est.eigen.eigenvectors[:, :cfg.r].T
         d_fixed = subspace_distance(draw.m, m_fixed)
         if r_hat >= 1:
-            m_auto = eig.eigenvectors[:, :r_hat].T
-            d_auto = subspace_distance(draw.m, m_auto)
+            d_auto = subspace_distance(draw.m, est.m_hat)
         else:
             d_auto = float("nan")
 

@@ -9,7 +9,7 @@ be any full-row-rank basis; the second is expected to have orthonormal rows
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .errors import (
     NotOrthonormalWarning,
     RankDeficientError,
 )
-from .matrix_core import _as_2d_float, frobenius_norm, sym_eigen
+from .matrix_core import SymmetricEigen, _as_2d_float, frobenius_norm, sym_eigen
 
 RANK_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-10
@@ -32,10 +32,15 @@ def _rows_orthonormal(mat: np.ndarray, tol: float = ORTHONORMAL_TOL) -> bool:
 
 @dataclass(frozen=True)
 class RowSpaceBasis:
-    """An r x n matrix whose rows span the space, plus an orthonormality flag."""
+    """An r x n matrix whose rows span the space, plus an orthonormality flag.
+
+    ``row_gram`` is the eigendecomposition of B B^T, computed once for the
+    rank check and reused by the projector and the distance.
+    """
 
     matrix: np.ndarray
     orthonormal: bool = False
+    row_gram: SymmetricEigen = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = _as_2d_float(self.matrix, "basis")
@@ -46,12 +51,14 @@ class RowSpaceBasis:
             )
         gram = mat @ mat.T
         gram = (gram + gram.T) / 2.0
-        lam = sym_eigen(gram).eigenvalues
+        eig = sym_eigen(gram)
+        lam = eig.eigenvalues
         if lam[0] <= 0 or np.sqrt(max(lam[-1], 0.0)) <= RANK_TOL * np.sqrt(lam[0]):
             raise RankDeficientError(
                 "basis rows are rank deficient at tolerance 1e-10"
             )
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "row_gram", eig)
 
     @property
     def r(self) -> int:
@@ -72,11 +79,9 @@ def as_basis(b, orthonormal: bool | None = None) -> RowSpaceBasis:
     return RowSpaceBasis(mat, orthonormal=bool(orthonormal))
 
 
-def _inv_row_gram(mat: np.ndarray) -> np.ndarray:
+def _inv_row_gram(basis: RowSpaceBasis) -> np.ndarray:
     """Inverse of (B B^T) via its eigendecomposition; rejects cond > 1e12."""
-    gram = mat @ mat.T
-    gram = (gram + gram.T) / 2.0
-    eig = sym_eigen(gram)
+    eig = basis.row_gram
     lam = eig.eigenvalues
     if lam[-1] <= 0 or lam[0] / lam[-1] > MAX_CONDITION:
         raise RankDeficientError(
@@ -97,7 +102,7 @@ def projection_matrix(b) -> np.ndarray:
     if basis.orthonormal:
         p = mat.T @ mat
     else:
-        p = mat.T @ _inv_row_gram(mat) @ mat
+        p = mat.T @ _inv_row_gram(basis) @ mat
     return (p + p.T) / 2.0
 
 
@@ -134,7 +139,7 @@ def subspace_distance(m, m_hat) -> float:
     n = bm.n
     r_hat = bh.r
     m_v = mh @ mm.T
-    v_m = _inv_row_gram(mm) @ (mm @ mh.T)
+    v_m = _inv_row_gram(bm) @ (mm @ mh.T)
     term1 = frobenius_norm(mm.T - mh.T @ m_v)
     term2 = frobenius_norm(mh.T - mm.T @ v_m)
     return float(np.sqrt(term1 ** 2 + term2 ** 2) / np.sqrt(n * r_hat))

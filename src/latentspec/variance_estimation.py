@@ -18,7 +18,7 @@ from .errors import (
     LengthMismatchError,
     SupportViolationError,
 )
-from .matrix_core import as_values, sym_eigen
+from .matrix_core import as_values, gram_scaled, sym_eigen
 from .nef_qvf import Family, data_support_mask, v_value
 
 _MAX_REPORTED_VIOLATIONS = 20
@@ -90,22 +90,20 @@ def estimate_dk_qvf(y, f: Family) -> VarianceEstimate:
 def estimate_dk_leek(y, t: int) -> VarianceEstimate:
     """Pooled residual-variance estimate for Normal data, unknown row variances.
 
-    With singular values a_1 >= ... >= a_n of Y, the pooled estimate is
-    sigma^2 = (sum of a_j^2 for j = t..n) / (k * (n - t)), and every diagonal
-    entry is set to it.  Meaningful use needs t larger than the true rank.
+    With eigenvalues l_1 >= ... >= l_n of the scaled gram G = Y^T Y / k (the
+    squared singular values of Y over k), the pooled estimate is
+    sigma^2 = (sum of l_j for j = t..n) / (n - t), and every diagonal entry
+    is set to it.  Meaningful use needs t larger than the true rank.
     """
     arr = as_values(y)
-    k, n = arr.shape
+    n = arr.shape[1]
     t = int(t)
     if t < 1 or t > n:
         raise InvalidParameterError(f"t must be in [1, n={n}], got {t}")
     if t == n:
         raise DegenerateTailError("t = n leaves an empty residual sum")
-    gram = arr.T @ arr
-    gram = np.triu(gram) + np.triu(gram, 1).T
-    eig = sym_eigen(gram)
-    sq = np.clip(eig.eigenvalues, 0.0, None)
-    sigma2 = float(np.sum(sq[t - 1:])) / (k * (n - t))
+    lam = np.clip(sym_eigen(gram_scaled(arr)).eigenvalues, 0.0, None)
+    sigma2 = float(np.sum(lam[t - 1:])) / (n - t)
     return VarianceEstimate(
         np.full(n, sigma2), method=f"leek:t={t}"
     )

@@ -1,10 +1,16 @@
 """Command line: parsing, outputs, exit codes, reproducibility."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latentspec
 from latentspec.cli import main
 from latentspec.latent_space import estimate_latent_space
 from latentspec.matrixio import read_matrix_csv, write_matrix_csv
@@ -332,6 +338,43 @@ def test_simulate_threads_env_override(tmp_path, monkeypatch):
     monkeypatch.delenv("LATENTSPEC_THREADS")
     assert main(["simulate", str(path), "--threads", "1"]) == 0
     assert (tmp_path / "sim" / "summary.csv").read_bytes() == blob
+
+
+def test_simulate_threads_invariant_at_threaded_lapack_size(tmp_path):
+    # n=300 is large enough for a threaded LAPACK path, which the n <= 10
+    # tests above never reach.  BLAS threads stay fixed at 2; only --threads
+    # varies, so every output must match byte for byte.
+    cfg = {
+        "scenario": ["normal", "poisson", "binomial", "negbin", "gamma"],
+        "n": 300,
+        "k": 1000,
+        "r": 3,
+        "reps": 2,
+        "seed": 11,
+        "output_dir": str(tmp_path / "sim"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env.pop("LATENTSPEC_THREADS", None)
+    src = str(Path(latentspec.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        subprocess.run(
+            [sys.executable, "-m", "latentspec.cli", "simulate", str(path),
+             "--full", "--threads", threads],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append({
+            name: (tmp_path / "sim" / name).read_bytes()
+            for name in ("summary.csv", "reps.csv", "meta.json")
+        })
+    assert outputs[0] == outputs[1]
+    rows = csv.DictReader(outputs[0]["reps.csv"].decode().splitlines())
+    assert [row["error"] for row in rows] == [""] * 10
 
 
 # -------------------------------------------------------------------- subsample
