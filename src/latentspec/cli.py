@@ -32,6 +32,7 @@ from .nef_qvf import Family, family_to_dict
 from .simulation import (
     RNG_ALGORITHM,
     ScenarioConfig,
+    rep_rng,
     run_replications,
 )
 from .subspace_metrics import subspace_distance
@@ -69,11 +70,17 @@ def _resolve_threads(value) -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _load_matrix(path, transpose=False) -> np.ndarray:
+def _read_csv(reader, path) -> np.ndarray:
     try:
-        arr = read_matrix_csv(path)
-    except (OSError, InvalidParameterError) as exc:
-        raise CliError(f"cannot read {path}: {exc}")
+        return reader(path)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}")
+    except InvalidParameterError as exc:
+        raise CliError(str(exc))
+
+
+def _load_matrix(path, transpose=False) -> np.ndarray:
+    arr = _read_csv(read_matrix_csv, path)
     return arr.T if transpose else arr
 
 
@@ -152,10 +159,7 @@ def _variance_estimate(args, data) -> tuple:
             return estimate_dk_leek(data, args.leek), None
         except LatentSpecError as exc:
             raise CliError(str(exc))
-    try:
-        deltas = read_vector_csv(args.dk_file)
-    except (OSError, InvalidParameterError) as exc:
-        raise CliError(f"cannot read {args.dk_file}: {exc}")
+    deltas = _read_csv(read_vector_csv, args.dk_file)
     if deltas.shape[0] != data.shape[1]:
         raise CliError(
             f"--dk-file length {deltas.shape[0]} != column count {data.shape[1]}"
@@ -399,8 +403,7 @@ def cmd_subsample(args) -> int:
     for ki, kv in enumerate(k_grid):
         dists = []
         for rep in range(args.reps):
-            key = ((int(args.seed) & (2**64 - 1)) << 64) | (ki * args.reps + rep)
-            rng = np.random.Generator(np.random.Philox(key=key))
+            rng = rep_rng(args.seed, ki * args.reps + rep)
             idx = np.sort(rng.choice(k_full, size=kv, replace=False))
             sub = data[idx, :]
             try:

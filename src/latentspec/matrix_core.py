@@ -20,7 +20,6 @@ from .errors import (
 )
 
 SYMMETRY_TOL = 1e-10
-MAX_EIGEN_DIM = 512
 
 
 def _as_2d_float(a, name="matrix"):
@@ -132,9 +131,10 @@ def sym_eigen(a) -> SymmetricEigen:
     Parameters
     ----------
     a : (n, n) array_like
-        Symmetric matrix, n <= 512.  Symmetry is checked relative to the
-        Frobenius norm: max |A_ij - A_ji| <= 1e-10 * ||A||_F.  The matrix is
-        symmetrised before it is factored.
+        Symmetric matrix of any size.
+        Symmetry is checked relative to the Frobenius norm:
+        max |A_ij - A_ji| <= 1e-10 * ||A||_F.  The matrix is symmetrised
+        before it is factored.
 
     Returns
     -------
@@ -153,10 +153,6 @@ def sym_eigen(a) -> SymmetricEigen:
     n = A.shape[0]
     if A.shape[1] != n:
         raise InvalidParameterError(f"matrix must be square, got {A.shape}")
-    if n > MAX_EIGEN_DIM:
-        raise InvalidParameterError(
-            f"dimension {n} exceeds the configured cap {MAX_EIGEN_DIM}"
-        )
     if n > 1:
         asym = float(np.max(np.abs(A - A.T)))
         if asym > SYMMETRY_TOL * max(frobenius_norm(A), np.finfo(float).tiny):

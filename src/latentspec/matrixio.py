@@ -1,83 +1,67 @@
 """CSV matrix reading and writing for the command line tools.
 
-Dialect: comma separated, '.' decimal point, no locale dependence.  An
-optional single header row is auto-detected on read (first row not fully
-numeric).  Values are written in scientific notation with 17 digits after
-the point, which round-trips 64-bit floats exactly.
+Dialect: comma separated, '.' decimal point, UTF-8 (a leading byte order
+mark is ignored), no locale dependence.  Blank and whitespace-only lines
+are skipped.  The first non-blank row is a header, and is skipped, when one
+of its cells is non-empty and not a number.  Every other row must have the
+same number of cells, each a number, optionally double-quoted and padded
+with spaces or tabs.  Values are written in scientific notation with 17
+digits after the point, which round-trips 64-bit floats exactly.
 """
 
 from __future__ import annotations
 
-import csv
+import re
+from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidParameterError
 
-FLOAT_FORMAT = "{:.17e}"
+FLOAT_FORMAT = "%.17e"
+
+# A line holding only whitespace; the first line is covered by strip().
+_BLANK_LINE = re.compile(r"\n[^\S\n]+(?=\n|\Z)")
 
 
 def format_value(x: float) -> str:
-    return FLOAT_FORMAT.format(float(x))
+    return FLOAT_FORMAT % float(x)
 
 
-def write_matrix_csv(path, a, header=None) -> None:
-    """Write a 2-D array as CSV; optional list of column names first."""
+def write_matrix_csv(path, a) -> None:
+    """Write a 2-D array as CSV; a 1-D array is written as one column."""
     arr = np.asarray(a, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2:
+    if arr.ndim not in (1, 2):
         raise InvalidParameterError("only 1-D or 2-D arrays are written")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if header is not None:
-            writer.writerow(list(header))
-        for row in arr:
-            writer.writerow([format_value(v) for v in row])
+    np.savetxt(path, arr, fmt=FLOAT_FORMAT, delimiter=",")
 
 
-def _try_parse_row(cells) -> list[float] | None:
-    out = []
-    for cell in cells:
-        text = cell.strip()
-        if not text:
-            return None
+def _is_header(line: str) -> bool:
+    """True when a cell of the row is non-empty and not a number."""
+    for cell in line.split(","):
+        cell = cell.strip().strip('"')
         try:
-            out.append(float(text))
+            float(cell or 0)
         except ValueError:
-            return None
-    return out
+            return True
+    return False
 
 
 def read_matrix_csv(path) -> np.ndarray:
     """Read a numeric CSV matrix, skipping one auto-detected header row."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        raw = [row for row in reader if row and any(c.strip() for c in row)]
-    if not raw:
-        raise InvalidParameterError(f"{path}: no data rows")
-    first = _try_parse_row(raw[0])
-    start = 0
-    if first is None:
-        start = 1
-        if len(raw) == 1:
-            raise InvalidParameterError(f"{path}: header but no data rows")
-    width = None
-    for idx in range(start, len(raw)):
-        parsed = _try_parse_row(raw[idx])
-        if parsed is None:
-            raise InvalidParameterError(
-                f"{path}: non-numeric value in row {idx + 1}"
-            )
-        if width is None:
-            width = len(parsed)
-        elif len(parsed) != width:
-            raise InvalidParameterError(
-                f"{path}: row {idx + 1} has {len(parsed)} fields, expected {width}"
-            )
-        rows.append(parsed)
-    return np.asarray(rows, dtype=float)
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+        lines = _BLANK_LINE.sub("\n", text).strip().split("\n")
+        header = _is_header(lines[0])
+        if not lines[0] or (header and len(lines) == 1):
+            raise InvalidParameterError(f"cannot read {path}: no data rows")
+        return np.loadtxt(
+            lines, delimiter=",", ndmin=2, quotechar='"', comments=None,
+            skiprows=int(header),
+        )
+    except ValueError as exc:
+        # Undecodable bytes (UnicodeDecodeError) or a bad row from loadtxt.
+        raise InvalidParameterError(f"cannot read {path}: {exc}") from exc
 
 
 def read_vector_csv(path) -> np.ndarray:
@@ -86,5 +70,5 @@ def read_vector_csv(path) -> np.ndarray:
     if arr.shape[0] == 1 or arr.shape[1] == 1:
         return arr.reshape(-1)
     raise InvalidParameterError(
-        f"{path}: expected a single row or column, got shape {arr.shape}"
+        f"cannot read {path}: expected a single row or column, got shape {arr.shape}"
     )

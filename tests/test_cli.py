@@ -73,6 +73,65 @@ def test_csv_vector_shapes(tmp_path):
         read_vector_csv(full)
 
 
+def test_csv_write_bytes_pinned(tmp_path):
+    path = tmp_path / "s.csv"
+    write_matrix_csv(path, [[-0.0, np.nan, np.inf], [-np.inf, 5e-324, 1.7976931348623157e308]])
+    assert path.read_bytes() == (
+        b"-0.00000000000000000e+00,nan,inf\n"
+        b"-inf,4.94065645841246544e-324,1.79769313486231571e+308\n"
+    )
+    write_matrix_csv(path, [1.0, -2.5])
+    assert path.read_bytes() == b"1.00000000000000000e+00\n-2.50000000000000000e+00\n"
+    write_matrix_csv(path, np.zeros((0, 3)))
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("text, expected", [
+    ('"1","2.5"\n3,"4"\n', [[1.0, 2.5], [3.0, 4.0]]),
+    (" 1 ,\t2\n3\t, 4 \n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("\n1,2\n\n3,4\n\n", [[1.0, 2.0], [3.0, 4.0]]),
+    (" \t\n1,2\n  \n3,4\n\t\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("\n \na,b\n \n1,2\n", [[1.0, 2.0]]),
+    ("1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("\ufeff1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,\n3,4\n5,6\n", None),
+    ("1,2\n3,\n", None),
+    (",,\n1,2,3\n", None),
+    ("1,2\n3,4,5\n", None),
+    ("1,2\n3,x\n", None),
+    ("a,b\n\n \n", None),
+    ("", None),
+])
+def test_csv_accepts_and_rejects(tmp_path, text, expected):
+    from latentspec.errors import InvalidParameterError
+
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    if expected is None:
+        with pytest.raises(InvalidParameterError, match="m.csv"):
+            read_matrix_csv(path)
+    else:
+        np.testing.assert_array_equal(read_matrix_csv(path), expected)
+
+
+def test_estimate_rejects_first_row_with_empty_cell(tmp_path):
+    # A row with an empty cell is bad data, not a header to skip.
+    data = tmp_path / "y.csv"
+    data.write_text("1,\n3,4\n5,6\n")
+    rc = main(["estimate", str(data), "--family", "poisson",
+               "--rank", "fixed:1", "--out", str(tmp_path / "out")])
+    assert rc == 2
+
+
+def test_estimate_undecodable_input_exits_2(tmp_path, capsys):
+    data = tmp_path / "y.csv"
+    data.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe\x00\x81")
+    rc = main(["estimate", str(data), "--family", "poisson",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.count(str(data)) == 1
+
+
 # -------------------------------------------------------------------- estimate
 
 def test_estimate_fixed_rank_contract(tmp_path):

@@ -164,11 +164,20 @@ def test_eigen_rejects_asymmetric():
         sym_eigen(np.array([[1.0, 2.0], [0.5, 1.0]]))
 
 
-def test_eigen_rejects_nonsquare_and_large():
+def test_eigen_rejects_nonsquare():
     with pytest.raises(InvalidParameterError):
         sym_eigen(np.zeros((2, 3)))
-    with pytest.raises(InvalidParameterError):
-        sym_eigen(np.eye(513))
+
+
+def test_eigen_contract_at_n600():
+    # No dimension cap: the contract holds past the old limit of 512.
+    n = 600
+    a = random_symmetric(np.random.default_rng(10), n)
+    eig = sym_eigen(a)
+    vals, v = eig.eigenvalues, eig.eigenvectors
+    assert np.all(np.diff(vals) <= 0)
+    assert np.all(v[np.argmax(np.abs(v), axis=0), np.arange(n)] >= 0.0)
+    assert frobenius_norm(a @ v - v * vals) <= 1e-10 * frobenius_norm(a)
 
 
 def test_eigen_tie_order_matches_loop_reference():
