@@ -65,9 +65,7 @@ from .simulation import (
     generate_scenario,
     rep_rng,
     run_replications,
-    sample,
     scenario_family,
-    true_dk,
 )
 from .subspace_metrics import (
     RowSpaceBasis,

@@ -26,9 +26,9 @@ from .errors import (
     RankDeficientError,
     SupportViolationError,
 )
-from .latent_space import ScalingConfig, estimate_latent_space
+from .latent_space import ETA_DEFAULT, ScalingConfig, estimate_latent_space
 from .matrixio import format_value, read_matrix_csv, read_vector_csv, write_matrix_csv
-from .nef_qvf import Family, family_to_dict
+from .nef_qvf import FAMILY_KINDS, Family, family_to_dict
 from .simulation import (
     RNG_ALGORITHM,
     ScenarioConfig,
@@ -104,17 +104,42 @@ def _parse_rank(text: str):
     raise CliError(f"rank must be 'auto' or 'fixed:R', got {text!r}")
 
 
-def _scaling_from_args(args) -> ScalingConfig:
-    scale = args.scale
+def _scaling(c_tilde: float, eta: float, scale, scale_name: str) -> ScalingConfig:
+    """Scaling from flags or a config; ``scale`` is 'auto' or a positive number."""
     if scale != "auto":
         try:
-            scale = float(scale)
-        except ValueError:
-            raise CliError(f"--scale must be 'auto' or a number, got {scale!r}")
+            number = float(scale)
+        except (TypeError, ValueError):
+            number = float("nan")
+        if not number > 0:
+            raise CliError(
+                f"{scale_name} must be 'auto' or a positive number, got {scale!r}"
+            )
+        scale = number
     try:
-        return ScalingConfig(c_tilde=args.c_tilde, eta=args.eta, scale_coefficient=scale)
+        return ScalingConfig(c_tilde=c_tilde, eta=eta, scale_coefficient=scale)
     except InvalidParameterError as exc:
         raise CliError(str(exc))
+
+
+def _scaling_from_args(args) -> ScalingConfig:
+    return _scaling(args.c_tilde, args.eta, args.scale, "--scale")
+
+
+def _config_number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise CliError(f"config {name} must be a number, got {value!r}")
+
+
+def _config_int(value, name: str) -> int:
+    try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError):
+        raise CliError(f"config {name} must be an integer, got {value!r}")
 
 
 def _parse_int_list(text: str, name: str) -> list[int]:
@@ -240,7 +265,8 @@ def _config_cells(cfg: dict) -> list[dict]:
             for k in listify(cfg["k"]):
                 for r in listify(cfg["r"]):
                     cells.append(
-                        {"scenario": scenario, "n": int(n), "k": int(k), "r": int(r)}
+                        {"scenario": scenario, "n": _config_int(n, "n"),
+                         "k": _config_int(k, "k"), "r": _config_int(r, "r")}
                     )
     return cells
 
@@ -248,24 +274,27 @@ def _config_cells(cfg: dict) -> list[dict]:
 def cmd_simulate(args) -> int:
     try:
         cfg = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bytes
         raise CliError(f"cannot read config {args.config}: {exc}")
+    if not isinstance(cfg, dict):
+        raise CliError(f"config {args.config} is not a JSON object")
     for key in ("scenario", "n", "k", "r", "output_dir"):
         if key not in cfg:
             raise CliError(f"config missing key {key!r}")
-    reps = int(cfg.get("reps", 50))
-    seed = int(cfg.get("seed", 0))
-    rank_mode = cfg.get("rank_mode", "auto")
+    if not isinstance(cfg["output_dir"], str):
+        raise CliError(f"config output_dir must be a string, got {cfg['output_dir']!r}")
+    reps = _config_int(cfg.get("reps", 50), "reps")
+    seed = _config_int(cfg.get("seed", 0), "seed")
     scaling_cfg = cfg.get("scaling", {})
-    scale = scaling_cfg.get("scale", "auto")
-    try:
-        scaling = ScalingConfig(
-            c_tilde=float(scaling_cfg.get("c_tilde", 1.0)),
-            eta=float(scaling_cfg.get("eta", 1.0 / 3.0)),
-            scale_coefficient=scale if scale == "auto" else float(scale),
-        )
-    except InvalidParameterError as exc:
-        raise CliError(str(exc))
+    if not isinstance(scaling_cfg, dict):
+        raise CliError("config scaling is not a JSON object")
+    c_tilde = scaling_cfg.get("c_tilde", ScalingConfig.c_tilde)
+    eta = scaling_cfg.get("eta", ETA_DEFAULT)
+    scaling = _scaling(
+        _config_number(c_tilde, "scaling.c_tilde"),
+        _config_number(eta, "scaling.eta"),
+        scaling_cfg.get("scale", "auto"), "config scaling.scale",
+    )
 
     cells = _config_cells(cfg)
     if not args.full:
@@ -291,7 +320,7 @@ def cmd_simulate(args) -> int:
         try:
             sc = ScenarioConfig(
                 scenario=cell["scenario"], n=cell["n"], k=cell["k"], r=cell["r"],
-                reps=reps, seed=seed, scaling=scaling, rank_mode=rank_mode,
+                reps=reps, seed=seed, scaling=scaling,
             )
         except InvalidParameterError as exc:
             raise CliError(str(exc))
@@ -470,18 +499,16 @@ def cmd_rank_sweep(args) -> int:
 
 
 def _add_scaling_flags(p) -> None:
-    p.add_argument("--c-tilde", type=float, default=1.0,
+    p.add_argument("--c-tilde", type=float, default=ScalingConfig.c_tilde,
                    help="rank threshold on the scaled eigenvalues")
-    p.add_argument("--eta", type=float, default=1.0 / 3.0,
+    p.add_argument("--eta", type=float, default=ETA_DEFAULT,
                    help="decay exponent of the eigenvalue scale")
     p.add_argument("--scale", default="auto",
                    help="scale coefficient, a number or 'auto'")
 
 
 def _add_family_flags(p) -> None:
-    p.add_argument("--family",
-                   choices=["normal", "poisson", "binomial", "negbin",
-                            "gamma", "ghs"],
+    p.add_argument("--family", choices=FAMILY_KINDS,
                    help="observation family for the variance correction")
     p.add_argument("--s", type=float, default=None,
                    help="family parameter (trials, size, or shape)")

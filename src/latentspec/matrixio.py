@@ -11,6 +11,7 @@ digits after the point, which round-trips 64-bit floats exactly.
 
 from __future__ import annotations
 
+import functools
 import re
 from pathlib import Path
 
@@ -47,21 +48,51 @@ def _is_header(line: str) -> bool:
     return False
 
 
+_loadtxt = functools.partial(
+    np.loadtxt, delimiter=",", ndmin=2, quotechar='"', comments=None
+)
+
+
+def _first_bad_line(text: str, header: bool) -> str | None:
+    """'line N: reason' for the first bad data line, N 1-based in the file.
+
+    loadtxt's own row numbers skip the header and blank lines.  Each line is
+    re-read on its own, so this runs only after loadtxt rejected the file.
+    """
+    first = None
+    for number, line in enumerate(text.split("\n"), 1):
+        if not line.strip():
+            continue
+        if header:
+            header = False
+            continue
+        try:
+            width = _loadtxt([line]).shape[1]
+        except ValueError as exc:
+            return f"line {number}: {str(exc).replace('at row 0, ', 'at ')}"
+        if first is None:
+            first = (number, width)
+        elif width != first[1]:
+            return (f"line {number} has {width} values, "
+                    f"line {first[0]} has {first[1]}")
+    return None
+
+
 def read_matrix_csv(path) -> np.ndarray:
     """Read a numeric CSV matrix, skipping one auto-detected header row."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
-        lines = _BLANK_LINE.sub("\n", text).strip().split("\n")
-        header = _is_header(lines[0])
-        if not lines[0] or (header and len(lines) == 1):
-            raise InvalidParameterError(f"cannot read {path}: no data rows")
-        return np.loadtxt(
-            lines, delimiter=",", ndmin=2, quotechar='"', comments=None,
-            skiprows=int(header),
-        )
-    except ValueError as exc:
-        # Undecodable bytes (UnicodeDecodeError) or a bad row from loadtxt.
+    except UnicodeDecodeError as exc:
         raise InvalidParameterError(f"cannot read {path}: {exc}") from exc
+    lines = _BLANK_LINE.sub("\n", text).strip().split("\n")
+    header = _is_header(lines[0])
+    if not lines[0] or (header and len(lines) == 1):
+        raise InvalidParameterError(f"cannot read {path}: no data rows")
+    try:
+        return _loadtxt(lines, skiprows=int(header))
+    except ValueError as exc:
+        reason = _first_bad_line(text, header) or exc
+        raise InvalidParameterError(f"cannot read {path}: {reason}") from exc
 
 
 def read_vector_csv(path) -> np.ndarray:

@@ -104,26 +104,28 @@ def qvf_coefficients(f: Family) -> QvfCoefficients:
     return QvfCoefficients(*table[f.kind])
 
 
+def qvf_transform(c: QvfCoefficients, y, y2):
+    """(b0 + b1*y + b2*y2) / (1 + b2), the one spelling of the QVF transform.
+
+    With y2 = y*y this is v(y); with the column means of y and y*y it is
+    the column mean of v(y).  A term whose coefficient is zero is left out,
+    so its argument may be None and an overflowing y*y cannot give 0 * inf.
+    """
+    out = np.full(np.shape(y), c.b0)
+    if c.b1:
+        out += c.b1 * y
+    if c.b2:
+        out += c.b2 * y2
+    return out / (1.0 + c.b2)
+
+
 def v_value(f: Family, y):
     """Per-observation transform with E[v(y)] equal to the variance of y.
 
-    Accepts scalars or arrays (applied elementwise).  Agrees with
-    (1 + b2)^-1 * (b0 + b1*y + b2*y^2) built from ``qvf_coefficients``.
+    Accepts scalars or arrays (applied elementwise).
     """
     y = np.asarray(y, dtype=float)
-    s = f.s
-    if f.kind == "normal":
-        out = np.ones_like(y)
-    elif f.kind == "poisson":
-        out = y.copy()
-    elif f.kind == "binomial":
-        out = (s * y - y * y) / (s - 1.0)
-    elif f.kind == "negbin":
-        out = (s * y + y * y) / (s + 1.0)
-    elif f.kind == "gamma":
-        out = y * y / (1.0 + s)
-    else:  # ghs
-        out = (s * s + y * y) / (1.0 + s)
+    out = qvf_transform(qvf_coefficients(f), y, y * y)
     if out.ndim == 0:
         return float(out)
     return out

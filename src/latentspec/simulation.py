@@ -38,54 +38,6 @@ def rep_rng(seed: int, rep_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample(dist: str, rng: np.random.Generator, *params) -> float:
-    """One scalar draw from a named distribution.
-
-    Supported: normal(mu, sigma), uniform(a, b), poisson(lam),
-    binomial(s, p), negbin(s, p) with mean s*p/(1-p), gamma(shape, rate),
-    noncentral_chisq(nu, lam).  Discrete draws use the generator's
-    documented algorithms (inversion / transformed rejection for poisson,
-    gamma-poisson mixture for negbin, poisson mixture for the noncentral
-    chi-square).
-    """
-    if dist == "normal":
-        mu, sigma = params
-        if not sigma >= 0:
-            raise InvalidParameterError("sigma must be >= 0")
-        return float(rng.normal(mu, sigma))
-    if dist == "uniform":
-        a, b = params
-        if not a <= b:
-            raise InvalidParameterError("need a <= b")
-        return float(rng.uniform(a, b))
-    if dist == "poisson":
-        (lam,) = params
-        if not lam >= 0:
-            raise InvalidParameterError("lam must be >= 0")
-        return float(rng.poisson(lam))
-    if dist == "binomial":
-        s, p = params
-        if not (float(s).is_integer() and s >= 1 and 0 <= p <= 1):
-            raise InvalidParameterError("need integer s >= 1 and p in [0, 1]")
-        return float(rng.binomial(int(s), p))
-    if dist == "negbin":
-        s, p = params
-        if not (s > 0 and 0 <= p < 1):
-            raise InvalidParameterError("need s > 0 and p in [0, 1)")
-        return float(rng.negative_binomial(s, 1.0 - p))
-    if dist == "gamma":
-        shape, rate = params
-        if not (shape > 0 and rate > 0):
-            raise InvalidParameterError("need shape > 0 and rate > 0")
-        return float(rng.gamma(shape, scale=1.0 / rate))
-    if dist == "noncentral_chisq":
-        nu, lam = params
-        if not (nu > 0 and lam >= 0):
-            raise InvalidParameterError("need nu > 0 and lam >= 0")
-        return float(rng.noncentral_chisquare(nu, lam))
-    raise InvalidParameterError(f"unknown distribution {dist!r}")
-
-
 def scenario_family(scenario: str) -> Family:
     """Observation family used by each scenario."""
     if scenario == "normal":
@@ -112,7 +64,6 @@ class ScenarioConfig:
     reps: int = 50
     seed: int = 0
     scaling: ScalingConfig = field(default_factory=ScalingConfig)
-    rank_mode: str = "auto"
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -121,8 +72,6 @@ class ScenarioConfig:
             raise InvalidParameterError("need 1 <= r < n")
         if self.k < 1 or self.reps < 1:
             raise InvalidParameterError("k and reps must be >= 1")
-        if self.rank_mode not in ("auto", "fixed"):
-            raise InvalidParameterError("rank_mode must be 'auto' or 'fixed'")
 
 
 @dataclass(frozen=True)
@@ -153,13 +102,6 @@ def _binomial_basis(r: int, n: int) -> np.ndarray:
     m[:, :r] = np.eye(r)
     m[:, r:] = 1.0 / r
     return m
-
-
-def theta_means(scenario: str, theta: np.ndarray, family: Family) -> np.ndarray:
-    """Observation means implied by theta (probability -> mean for binomial)."""
-    if scenario == "binomial":
-        return family.s * theta
-    return theta
 
 
 def generate_scenario(cfg: ScenarioConfig, rep_index: int) -> ScenarioDraw:
@@ -207,7 +149,7 @@ def generate_scenario(cfg: ScenarioConfig, rep_index: int) -> ScenarioDraw:
         s = family.s
         y = rng.gamma(s, theta / s)
 
-    means = theta_means(scenario, theta, family)
+    means = family.s * theta if scenario == "binomial" else theta
     true_deltas = variance_from_mean(family, means).mean(axis=0)
     w_exact = (phi.T @ phi) / float(k)
 
@@ -222,13 +164,6 @@ def generate_scenario(cfg: ScenarioConfig, rep_index: int) -> ScenarioDraw:
         true_deltas=true_deltas,
         w_exact=w_exact,
     )
-
-
-def true_dk(draw: ScenarioDraw, family: Family | None = None) -> np.ndarray:
-    """Column averages of the exact observation variances of a draw."""
-    f = family if family is not None else draw.family
-    means = theta_means(draw.scenario, draw.theta, f)
-    return variance_from_mean(f, means).mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -344,14 +279,10 @@ def _run_one(cfg: ScenarioConfig, rep_index: int) -> RepRecord:
 def run_replications(cfg: ScenarioConfig, threads: int = 1) -> ReplicationStats:
     """Run all replications of a cell, collecting ordered per-rep records.
 
-    Replications are independent; with ``threads`` > 1 they run on a thread
-    pool.  Records are keyed by rep index, so results do not depend on
-    scheduling.  Failures are recorded per replication without aborting.
+    Replications are independent and run on a pool of ``threads`` workers.
+    Records are keyed by rep index, so results do not depend on scheduling.
+    Failures are recorded per replication without aborting.
     """
-    indices = range(cfg.reps)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda i: _run_one(cfg, i), indices))
-    else:
-        records = [_run_one(cfg, i) for i in indices]
-    return ReplicationStats(config=cfg, records=tuple(records))
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        records = pool.map(lambda i: _run_one(cfg, i), range(cfg.reps))
+        return ReplicationStats(config=cfg, records=tuple(records))

@@ -1,9 +1,10 @@
 """Column-average variance estimates forming the diagonal correction.
 
 Two estimators are provided: the family-based one (column averages of the
-per-observation transform v(.)) and a residual-variance estimator for Normal
-data with unknown per-row variances, which fills the diagonal with a single
-pooled value.  ``dk_error`` is the max-abs diagnostic against a known truth.
+per-observation transform v(.), taken from the column means of y and y*y)
+and a residual-variance estimator for Normal data with unknown per-row
+variances, which fills the diagonal with a single pooled value.
+``dk_error`` is the max-abs diagnostic against a known truth.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import (
     SupportViolationError,
 )
 from .matrix_core import as_values, gram_scaled, sym_eigen
-from .nef_qvf import Family, data_support_mask, v_value
+from .nef_qvf import Family, data_support_mask, qvf_coefficients, qvf_transform
 
 _MAX_REPORTED_VIOLATIONS = 20
 
@@ -64,7 +65,8 @@ def estimate_dk_qvf(y, f: Family) -> VarianceEstimate:
     is outside the family support; no silent clamping is done because a
     negative variance estimate always indicates a wrong family choice.
 
-    Column sums are accumulated over sorted values, so the result is exactly
+    v is quadratic, so the average is taken from the column means of y and
+    y*y.  They are summed over sorted columns, so the result is exactly
     invariant under row permutations of the input.
     """
     arr = as_values(y)
@@ -77,9 +79,13 @@ def estimate_dk_qvf(y, f: Family) -> VarianceEstimate:
             f"first at (row, col) {locs[0]}",
             locations=locs,
         )
-    k = arr.shape[0]
-    vals = v_value(f, arr)
-    deltas = np.sort(vals, axis=0).sum(axis=0) / float(k)
+    k = float(arr.shape[0])
+    c = qvf_coefficients(f)
+    cols = np.sort(arr, axis=0)
+    mean_y = cols.sum(axis=0) / k
+    # Squared in place: the sort is the only k x n temporary.
+    mean_y2 = np.square(cols, out=cols).sum(axis=0) / k if c.b2 else None
+    deltas = qvf_transform(c, mean_y, mean_y2)
     return VarianceEstimate(
         deltas,
         method=f"qvf:{f.kind}",

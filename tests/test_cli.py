@@ -114,6 +114,24 @@ def test_csv_accepts_and_rejects(tmp_path, text, expected):
         np.testing.assert_array_equal(read_matrix_csv(path), expected)
 
 
+@pytest.mark.parametrize("text, where", [
+    ("a,b\n1,2\n3,x\n", "line 3: could not convert string 'x'"),
+    ("\n1,2\n\n3,x\n", "line 4: could not convert string 'x'"),
+    ("1,2\n3\n", "line 2 has 1 values, line 1 has 2"),
+    ("1,2\r\n\r\n3,4,5\r\n", "line 3 has 3 values, line 1 has 2"),
+    (" \n1,\n3,4\n", "line 2: could not convert string ''"),
+])
+def test_csv_error_names_file_line(tmp_path, text, where):
+    from latentspec.errors import InvalidParameterError
+
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(InvalidParameterError) as info:
+        read_matrix_csv(path)
+    assert where in str(info.value)
+    assert "at row" not in str(info.value) and "usecols" not in str(info.value)
+
+
 def test_estimate_rejects_first_row_with_empty_cell(tmp_path):
     # A row with an empty cell is bad data, not a header to skip.
     data = tmp_path / "y.csv"
@@ -387,6 +405,27 @@ def test_simulate_bad_config(tmp_path):
     assert main(["simulate", str(path)]) == 2
     path.write_text(json.dumps({"scenario": "poisson"}))
     assert main(["simulate", str(path)]) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("scale", "abc"),
+    ("eta", "abc"),
+    ("c_tilde", [1.0]),
+    ("reps", "abc"),
+    ("reps", 2.5),
+    ("seed", "abc"),
+    ("n", "abc"),
+    ("k", [300, "x"]),
+    ("r", None),
+    ("output_dir", 5),
+])
+def test_simulate_malformed_field_exits_2(tmp_path, capsys, field, value):
+    if field in ("scale", "eta", "c_tilde"):
+        path, _ = write_sim_config(tmp_path, scaling={field: value})
+    else:
+        path, _ = write_sim_config(tmp_path, **{field: value})
+    assert main(["simulate", str(path)]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_simulate_threads_env_override(tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""Scenario generators, the scalar sampler, and the replication harness."""
+"""Scenario generators and the replication harness."""
 
 import math
 
@@ -12,9 +12,7 @@ from latentspec.simulation import (
     generate_scenario,
     rep_rng,
     run_replications,
-    sample,
     scenario_family,
-    true_dk,
 )
 from latentspec.subspace_metrics import subspace_distance
 from latentspec.latent_space import estimate_latent_space
@@ -78,13 +76,6 @@ def test_theta_is_exact_product():
     assert np.array_equal(draw.theta, draw.phi @ draw.m)
 
 
-def test_true_dk_matches_true_deltas():
-    for scenario in ("poisson", "binomial", "negbin", "gamma"):
-        cfg = ScenarioConfig(scenario=scenario, n=6, k=80, r=2, reps=1, seed=5)
-        draw = generate_scenario(cfg, 0)
-        np.testing.assert_allclose(true_dk(draw), draw.true_deltas, rtol=1e-14)
-
-
 def test_binomial_mean_conversion():
     # Probability 0.5 with 20 trials: variance 20 * 0.25 = 5.
     assert variance_from_mean(binomial(20), 20 * 0.5) == pytest.approx(5.0)
@@ -119,61 +110,6 @@ def test_rep_rng_streams_independent():
     a = rep_rng(5, 0).normal(size=1000)
     b = rep_rng(5, 1).normal(size=1000)
     assert abs(float(np.corrcoef(a, b)[0, 1])) < 0.1
-
-
-# ------------------------------------------------------------------ sampler
-
-def test_sample_degenerate_cases():
-    rng = rep_rng(0, 0)
-    assert sample("uniform", rng, 1.0, 1.0) == 1.0
-    assert sample("binomial", rng, 20, 0.0) == 0.0
-    assert sample("poisson", rng, 0.0) == 0.0
-    assert sample("normal", rng, 4.5, 0.0) == 4.5
-    assert sample("negbin", rng, 10, 0.0) == 0.0
-
-
-def test_sample_invalid_parameters():
-    rng = rep_rng(0, 0)
-    with pytest.raises(InvalidParameterError):
-        sample("uniform", rng, 2.0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        sample("gamma", rng, -1.0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        sample("negbin", rng, 10, 1.0)
-    with pytest.raises(InvalidParameterError):
-        sample("cauchy", rng, 0.0)
-
-
-def test_sample_noncentral_chisq_moments():
-    # Mean nu + lam, variance 2(nu + 2 lam); kurtosis-aware standard errors.
-    nu, lam, n = 9.0, 1.0, 100_000
-    rng = rep_rng(7, 0)
-    draws = np.array([sample("noncentral_chisq", rng, nu, lam) for _ in range(n)])
-    mean, var = nu + lam, 2 * (nu + 2 * lam)
-    se_mean = math.sqrt(var / n)
-    assert abs(draws.mean() - mean) <= 3 * se_mean
-    # mu4 of noncentral chi-square: 12(nu + 4 lam)(excess) + 3 var^2
-    mu4 = 48 * (nu + 4 * lam) + 3 * var * var
-    se_var = math.sqrt((mu4 - var * var) / n)
-    assert abs(draws.var() - var) <= 5 * se_var
-
-
-def test_sample_negbin_mean():
-    # Mean s p / (1 - p).
-    s, p, n = 10, 1.0 / 3.0, 50_000
-    rng = rep_rng(8, 0)
-    draws = np.array([sample("negbin", rng, s, p) for _ in range(n)])
-    mean = s * p / (1 - p)
-    var = mean + mean * mean / s
-    assert abs(draws.mean() - mean) <= 3 * math.sqrt(var / n)
-
-
-def test_sample_gamma_rate_convention():
-    shape, rate, n = 10.0, 2.0, 50_000
-    rng = rep_rng(9, 0)
-    draws = np.array([sample("gamma", rng, shape, rate) for _ in range(n)])
-    mean = shape / rate
-    assert abs(draws.mean() - mean) <= 3 * math.sqrt(shape / rate**2 / n)
 
 
 # ----------------------------------------------------------------- oracles

@@ -9,7 +9,7 @@ from latentspec.errors import (
     LengthMismatchError,
     SupportViolationError,
 )
-from latentspec.nef_qvf import binomial, normal, poisson
+from latentspec.nef_qvf import binomial, gamma, ghs, negbin, normal, poisson, v_value
 from latentspec.simulation import ScenarioConfig, generate_scenario
 from latentspec.variance_estimation import (
     dk_error,
@@ -42,14 +42,43 @@ def test_qvf_binomial_hand_average():
     np.testing.assert_allclose(est.deltas, [50.0 / 19.0] * 2, rtol=1e-15)
 
 
+FAMILIES = [normal(), poisson(), binomial(20), negbin(10), gamma(10), ghs(2)]
+
+
+def family_data(f, rng, shape):
+    """In-support draws for each family; gamma and GHS are real-valued."""
+    if f.kind == "poisson":
+        return rng.poisson(7.0, size=shape).astype(float)
+    if f.kind == "binomial":
+        return rng.binomial(20, 0.4, size=shape).astype(float)
+    if f.kind == "negbin":
+        return rng.negative_binomial(10, 0.5, size=shape).astype(float)
+    if f.kind == "gamma":
+        return rng.gamma(10.0, 0.3, size=shape)
+    return rng.normal(1.0, 3.0, size=shape)  # normal, ghs
+
+
 def test_qvf_row_permutation_bit_invariant():
-    rng = np.random.default_rng(1)
-    y = rng.poisson(7.0, size=(200, 6)).astype(float)
-    base = estimate_dk_qvf(y, poisson()).deltas
-    for seed in range(5):
-        perm = np.random.default_rng(seed).permutation(200)
-        shuffled = estimate_dk_qvf(y[perm], poisson()).deltas
-        assert np.array_equal(base, shuffled)
+    for f in FAMILIES:
+        y = family_data(f, np.random.default_rng(1), (200, 6))
+        base = estimate_dk_qvf(y, f).deltas
+        for seed in range(5):
+            perm = np.random.default_rng(seed).permutation(200)
+            shuffled = estimate_dk_qvf(y[perm], f).deltas
+            assert np.array_equal(base, shuffled), f.kind
+
+
+@pytest.mark.parametrize("f", FAMILIES, ids=lambda f: f.kind)
+@pytest.mark.parametrize("k", [1, 2, 500])
+def test_qvf_equals_column_mean_of_v(f, k):
+    # The correction comes from column means of y and y*y; it must equal
+    # the column average of v(y), including on an all-zero column.
+    y = family_data(f, np.random.default_rng(k), (k, 5))
+    if f.kind != "gamma":  # zero is outside the gamma support
+        y[:, 2] = 0.0
+    est = estimate_dk_qvf(y, f)
+    np.testing.assert_allclose(est.deltas, v_value(f, y).mean(axis=0),
+                               rtol=1e-12, atol=0.0)
 
 
 def test_qvf_support_violation_reports_location():
