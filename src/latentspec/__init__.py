@@ -1,15 +1,14 @@
 """Latent row-space estimation from second moments, with rank selection.
 
-Public surface: dense matrix primitives, the six quadratic-variance
-exponential families, diagonal variance correction, the latent-space
-estimator with automatic rank selection, subspace distance, and a seeded
-simulation harness.  The ``latentspec`` command line fronts the same
-pipeline.
+The package namespace holds the library quick start of the README: the six
+family constructors, the variance correction, the latent-space estimator
+with its ``ScalingConfig``, the replication harness, the subspace distance
+and projector, and the exception classes.  Everything else is imported from
+its module.  The ``latentspec`` command line fronts the same pipeline.
 """
 
 from .errors import (
     DegenerateTailError,
-    EmptyGridError,
     InvalidParameterError,
     LatentSpecError,
     LengthMismatchError,
@@ -20,65 +19,10 @@ from .errors import (
     RankDeficientError,
     SupportViolationError,
 )
-from .latent_space import (
-    CalibrationTrace,
-    RankEstimate,
-    ScalingConfig,
-    SubspaceEstimate,
-    adjusted_gram,
-    calibrate_scale,
-    default_grid,
-    estimate_latent_space,
-    estimate_rank,
-    ETA_DEFAULT,
-    ETA_PRESET_FAST,
-    ETA_PRESET_MEDIUM,
-)
-from .matrix_core import (
-    DataMatrix,
-    SymmetricEigen,
-    frobenius_norm,
-    gram_scaled,
-    sym_eigen,
-)
-from .nef_qvf import (
-    Family,
-    QvfCoefficients,
-    binomial,
-    family_from_dict,
-    family_to_dict,
-    gamma,
-    ghs,
-    natural_link,
-    negbin,
-    normal,
-    poisson,
-    qvf_coefficients,
-    v_value,
-    variance_from_mean,
-)
-from .simulation import (
-    RepRecord,
-    ReplicationStats,
-    ScenarioConfig,
-    ScenarioDraw,
-    generate_scenario,
-    rep_rng,
-    run_replications,
-    scenario_family,
-)
-from .subspace_metrics import (
-    RowSpaceBasis,
-    projection_matrix,
-    subspace_distance,
-)
-from .variance_estimation import (
-    VarianceEstimate,
-    dk_error,
-    estimate_dk_leek,
-    estimate_dk_qvf,
-    explicit,
-    known_unit,
-)
+from .latent_space import ScalingConfig, estimate_latent_space
+from .nef_qvf import binomial, gamma, ghs, negbin, normal, poisson
+from .simulation import ScenarioConfig, run_replications
+from .subspace_metrics import projection_matrix, subspace_distance
+from .variance_estimation import estimate_dk_qvf
 
 __version__ = "0.1.0"

@@ -84,6 +84,13 @@ def _load_matrix(path, transpose=False) -> np.ndarray:
     return arr.T if transpose else arr
 
 
+def _write_table(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _family_from_args(args) -> Family | None:
     if args.family is None:
         return None
@@ -192,12 +199,13 @@ def _variance_estimate(args, data) -> tuple:
     return explicit(deltas), None
 
 
-def _rank_record(est, dk_method: str) -> dict:
+def _rank_record(est, dk) -> dict:
     rec = {
         "r_hat": est.r_hat,
         "rank_mode": "auto" if est.fixed_rank is None else "fixed",
         "fixed_rank": est.fixed_rank,
-        "dk_method": dk_method,
+        "dk_method": dk.method,
+        "negative_flag": dk.negative_flag,
         "eigenvalues": [float(v) for v in est.eigen.eigenvalues],
     }
     if est.rank is not None:
@@ -239,7 +247,7 @@ def cmd_estimate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out / "m_hat.csv", est.m_hat.reshape(est.r_hat, n))
     write_matrix_csv(out / "eigenvalues.csv", est.eigen.eigenvalues)
-    record = _rank_record(est, dk.method)
+    record = _rank_record(est, dk)
     record["family"] = family_to_dict(fam) if fam is not None else None
     (out / "rank.json").write_text(
         json.dumps(record, sort_keys=True, indent=2) + "\n"
@@ -329,6 +337,7 @@ def cmd_simulate(args) -> int:
             [
                 cell["scenario"], cell["n"], cell["k"], cell["r"], reps,
                 stats.r_correct, stats.r_under, stats.r_over,
+                stats.failed, stats.no_plateau,
                 format_value(stats.d_median_fixed),
                 format_value(stats.d_median_auto),
                 format_value(stats.rho_median),
@@ -350,24 +359,19 @@ def cmd_simulate(args) -> int:
                 ]
             )
 
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "scenario", "n", "k", "r", "reps", "r_correct", "r_under",
-                "r_over", "d_median_fixed", "d_median_auto", "rho_median",
-            ]
-        )
-        writer.writerows(summary_rows)
-    with open(out / "reps.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "scenario", "n", "k", "r", "rep", "r_hat", "d_fixed",
-                "d_auto", "rho", "scale_coefficient", "no_plateau", "error",
-            ]
-        )
-        writer.writerows(rep_rows)
+    _write_table(
+        out / "summary.csv",
+        ["scenario", "n", "k", "r", "reps", "r_correct", "r_under", "r_over",
+         "failed", "no_plateau", "d_median_fixed", "d_median_auto",
+         "rho_median"],
+        summary_rows,
+    )
+    _write_table(
+        out / "reps.csv",
+        ["scenario", "n", "k", "r", "rep", "r_hat", "d_fixed", "d_auto", "rho",
+         "scale_coefficient", "no_plateau", "error"],
+        rep_rows,
+    )
     meta = {"rng": RNG_ALGORITHM, "seed": seed, "reps": reps, "config": cfg}
     (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     print(f"wrote {out / 'summary.csv'} ({len(summary_rows)} cells)")
@@ -449,10 +453,7 @@ def cmd_subsample(args) -> int:
         rows.append([kv, format_value(med)])
 
     out = Path(args.out)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "d_median"])
-        writer.writerows(rows)
+    _write_table(out, ["k", "d_median"], rows)
     print(f"wrote {out}")
     return 0
 
@@ -490,10 +491,7 @@ def cmd_rank_sweep(args) -> int:
             rows.append([r, ""])
 
     out = Path(args.out)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["r", "d"])
-        writer.writerows(rows)
+    _write_table(out, ["r", "d"], rows)
     print(f"wrote {out}")
     return 0
 

@@ -40,10 +40,6 @@ class RankDeficientError(LatentSpecError):
     """A basis matrix does not have full row rank (or is too ill-conditioned)."""
 
 
-class EmptyGridError(LatentSpecError):
-    """Scale-calibration grid is empty."""
-
-
 class InvalidParameterError(LatentSpecError):
     """A distribution or configuration parameter is invalid."""
 

@@ -13,14 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGridError, InvalidParameterError, LengthMismatchError
+from .errors import InvalidParameterError, LengthMismatchError
 from .matrix_core import SymmetricEigen, as_values, gram_scaled, sym_eigen
 from .variance_estimation import VarianceEstimate
 
 ETA_DEFAULT = 1.0 / 3.0
-# Faster-decaying presets for wide panels where the default eta under-selects.
-ETA_PRESET_FAST = 1.0 / 1.1
-ETA_PRESET_MEDIUM = 1.0 / 1.5
 
 GRID_SIZE = 40
 GRID_SPAN = (1e-3, 1e3)
@@ -141,32 +138,31 @@ def adjusted_gram(y, d) -> np.ndarray:
     return g
 
 
-def default_grid(eigenvalues, k: int, eta: float,
-                 size: int = GRID_SIZE,
-                 span: tuple[float, float] = GRID_SPAN) -> np.ndarray:
+def default_grid(eigenvalues, k: int, eta: float) -> np.ndarray:
     """Candidate scale coefficients bracketing the positive eigenvalue scale.
 
-    Log-spaced between span[0] and span[1] times the median positive
-    eigenvalue times k^eta.  Empty when no eigenvalue is positive.
+    GRID_SIZE values log-spaced between GRID_SPAN[0] and GRID_SPAN[1] times
+    the median positive eigenvalue times k^eta.  Empty when no eigenvalue is
+    positive.
     """
     vals = np.asarray(eigenvalues, dtype=float).reshape(-1)
     pos = vals[vals > 0]
     if pos.size == 0:
         return np.empty(0)
     anchor = float(np.median(pos)) * float(k) ** eta
-    return np.geomspace(span[0] * anchor, span[1] * anchor, size)
+    return np.geomspace(GRID_SPAN[0] * anchor, GRID_SPAN[1] * anchor, GRID_SIZE)
 
 
 def _rank_at(eigenvalues: np.ndarray, threshold: float) -> int:
     return int(np.sum(eigenvalues > threshold))
 
 
-def calibrate_scale(eigenvalues, k: int, cfg: ScalingConfig,
-                    grid=None) -> tuple[float, CalibrationTrace]:
+def calibrate_scale(eigenvalues, k: int,
+                    cfg: ScalingConfig) -> tuple[float, CalibrationTrace]:
     """Pick a scale coefficient from the longest stable rank plateau.
 
-    Every grid value g is tried as the scale coefficient: the implied
-    threshold is c_tilde * g * k^(-eta) and the rank is the count of
+    Every value g of ``default_grid`` is tried as the scale coefficient: the
+    implied threshold is c_tilde * g * k^(-eta) and the rank is the count of
     eigenvalues above it.  Maximal runs of consecutive grid values giving
     the same rank, with 1 <= rank < n, are plateaus.  Two kinds of run are
     censored because they carry no usable stability information: runs cut
@@ -182,16 +178,7 @@ def calibrate_scale(eigenvalues, k: int, cfg: ScalingConfig,
     n = vals.shape[0]
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
-    if grid is None:
-        grid = default_grid(vals, k, cfg.eta)
-    else:
-        grid = np.asarray(grid, dtype=float).reshape(-1)
-        if grid.size == 0:
-            raise EmptyGridError("calibration grid is empty")
-        if np.any(grid <= 0) or np.any(np.diff(grid) < 0):
-            raise InvalidParameterError(
-                "calibration grid must be positive and sorted ascending"
-            )
+    grid = default_grid(vals, k, cfg.eta)
 
     decay = float(k) ** (-cfg.eta)
     counts = np.array(

@@ -49,27 +49,12 @@ class DataMatrix:
             )
         object.__setattr__(self, "values", arr)
 
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-    def entry(self, i: int, j: int) -> float:
-        return float(self.values[i, j])
-
-    @classmethod
-    def from_array(cls, a) -> "DataMatrix":
-        return cls(np.asarray(a, dtype=float))
-
 
 def as_values(y) -> np.ndarray:
     """Accept a DataMatrix or array-like and return the validated ndarray."""
     if isinstance(y, DataMatrix):
         return y.values
-    return DataMatrix.from_array(y).values
+    return DataMatrix(y).values
 
 
 def frobenius_norm(a) -> float:
@@ -110,10 +95,6 @@ class SymmetricEigen:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 def _fix_sign(vectors: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """The six one-parameter exponential families with quadratic variance.
 
-Each family carries its mean-variance relation V[y] = b0 + b1*m + b2*m^2,
-the canonical link, and a per-observation transform v(.) whose expectation
-equals the variance.  That last identity is what lets a column average of
+Each family carries its mean-variance relation V[y] = b0 + b1*m + b2*m^2
+and a per-observation transform v(.) whose expectation equals the
+variance.  That last identity is what lets a column average of
 v(y) estimate the column-average variance without knowing the means.
 
 All means are in MEAN parameterization: the binomial mean is s*p (not the
@@ -155,37 +155,6 @@ def variance_from_mean(f: Family, theta):
     return out
 
 
-def natural_link(f: Family, theta):
-    """Canonical link evaluated at the mean; domain is the open mean region."""
-    arr = np.asarray(theta, dtype=float)
-    s = f.s
-    kind = f.kind
-    if kind == "normal":
-        out = arr + 0.0
-    elif kind == "poisson":
-        if np.any(arr <= 0):
-            raise OutOfSupportError("poisson link needs mean > 0")
-        out = np.log(arr)
-    elif kind == "binomial":
-        if np.any(arr <= 0) or np.any(arr >= s):
-            raise OutOfSupportError(f"binomial link needs mean in (0, s={s:g})")
-        p = arr / s
-        out = np.log(p / (1.0 - p))
-    elif kind == "negbin":
-        if np.any(arr <= 0):
-            raise OutOfSupportError("negative binomial link needs mean > 0")
-        out = np.log(arr / (s + arr))
-    elif kind == "gamma":
-        if np.any(arr <= 0):
-            raise OutOfSupportError("gamma link needs mean > 0")
-        out = -1.0 / arr
-    else:  # ghs
-        out = np.arctan(arr / s)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def data_support_mask(f: Family, y) -> np.ndarray:
     """Boolean mask of entries inside the family's observation support.
 
@@ -212,12 +181,3 @@ def family_to_dict(f: Family) -> dict:
         out["s"] = int(f.s) if float(f.s).is_integer() else f.s
     return out
 
-
-def family_from_dict(d: dict) -> Family:
-    """Inverse of ``family_to_dict``; unknown keys are rejected."""
-    extra = set(d) - {"family", "s"}
-    if extra:
-        raise InvalidParameterError(f"unknown family keys {sorted(extra)}")
-    if "family" not in d:
-        raise InvalidParameterError("missing 'family' key")
-    return Family(str(d["family"]).lower(), d.get("s"))

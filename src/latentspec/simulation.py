@@ -22,7 +22,14 @@ from .nef_qvf import Family, variance_from_mean
 from .subspace_metrics import subspace_distance
 from .variance_estimation import VarianceEstimate, dk_error, estimate_dk_qvf, known_unit
 
-SCENARIOS = ("normal", "poisson", "binomial", "negbin", "gamma")
+# Observation family of each scenario.
+SCENARIO_FAMILIES = {
+    "normal": Family("normal"),
+    "poisson": Family("poisson"),
+    "binomial": Family("binomial", 20),
+    "negbin": Family("negbin", 10),
+    "gamma": Family("gamma", 10),
+}
 
 # Counter-based generator; streams derive statelessly from (seed, rep_index).
 RNG_ALGORITHM = "philox4x64:key=(seed<<64)|rep_index"
@@ -39,18 +46,11 @@ def rep_rng(seed: int, rep_index: int) -> np.random.Generator:
 
 
 def scenario_family(scenario: str) -> Family:
-    """Observation family used by each scenario."""
-    if scenario == "normal":
-        return Family("normal")
-    if scenario == "poisson":
-        return Family("poisson")
-    if scenario == "binomial":
-        return Family("binomial", 20)
-    if scenario == "negbin":
-        return Family("negbin", 10)
-    if scenario == "gamma":
-        return Family("gamma", 10)
-    raise InvalidParameterError(f"unknown scenario {scenario!r}")
+    """Observation family used by the scenario."""
+    try:
+        return SCENARIO_FAMILIES[scenario]
+    except (KeyError, TypeError):  # TypeError: unhashable config value
+        raise InvalidParameterError(f"unknown scenario {scenario!r}") from None
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,7 @@ class ScenarioConfig:
     scaling: ScalingConfig = field(default_factory=ScalingConfig)
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise InvalidParameterError(f"unknown scenario {self.scenario!r}")
+        scenario_family(self.scenario)  # rejects an unknown scenario
         if not (1 <= self.r < self.n):
             raise InvalidParameterError("need 1 <= r < n")
         if self.k < 1 or self.reps < 1:
@@ -190,6 +189,15 @@ class ReplicationStats:
     @property
     def completed(self) -> int:
         return sum(1 for rec in self.records if rec.error is None)
+
+    @property
+    def failed(self) -> int:
+        return len(self.records) - self.completed
+
+    @property
+    def no_plateau(self) -> int:
+        """Replications whose scale calibration found no plateau."""
+        return sum(1 for rec in self.records if rec.no_plateau)
 
     def _counts(self) -> tuple[int, int, int]:
         correct = under = over = 0

@@ -25,21 +25,17 @@ ORTHONORMAL_TOL = 1e-10
 MAX_CONDITION = 1e12
 
 
-def _rows_orthonormal(mat: np.ndarray, tol: float = ORTHONORMAL_TOL) -> bool:
-    g = mat @ mat.T
-    return bool(np.max(np.abs(g - np.eye(mat.shape[0]))) <= tol)
-
-
 @dataclass(frozen=True)
 class RowSpaceBasis:
-    """An r x n matrix whose rows span the space, plus an orthonormality flag.
+    """An r x n matrix whose rows span the space.
 
     ``row_gram`` is the eigendecomposition of B B^T, computed once for the
     rank check and reused by the projector and the distance.
+    ``orthonormal`` is set when B B^T is the identity within 1e-10.
     """
 
     matrix: np.ndarray
-    orthonormal: bool = False
+    orthonormal: bool = field(init=False)
     row_gram: SymmetricEigen = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -50,6 +46,7 @@ class RowSpaceBasis:
                 f"basis must have 1 <= rows <= cols, got {mat.shape}"
             )
         gram = mat @ mat.T
+        orthonormal = np.max(np.abs(gram - np.eye(r))) <= ORTHONORMAL_TOL
         gram = (gram + gram.T) / 2.0
         eig = sym_eigen(gram)
         lam = eig.eigenvalues
@@ -58,6 +55,7 @@ class RowSpaceBasis:
                 "basis rows are rank deficient at tolerance 1e-10"
             )
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "orthonormal", bool(orthonormal))
         object.__setattr__(self, "row_gram", eig)
 
     @property
@@ -69,14 +67,9 @@ class RowSpaceBasis:
         return self.matrix.shape[1]
 
 
-def as_basis(b, orthonormal: bool | None = None) -> RowSpaceBasis:
-    """Wrap an array as a RowSpaceBasis, auto-detecting orthonormality."""
-    if isinstance(b, RowSpaceBasis):
-        return b
-    mat = _as_2d_float(b, "basis")
-    if orthonormal is None:
-        orthonormal = _rows_orthonormal(mat)
-    return RowSpaceBasis(mat, orthonormal=bool(orthonormal))
+def as_basis(b) -> RowSpaceBasis:
+    """Wrap an array as a RowSpaceBasis."""
+    return b if isinstance(b, RowSpaceBasis) else RowSpaceBasis(b)
 
 
 def _inv_row_gram(basis: RowSpaceBasis) -> np.ndarray:
@@ -129,7 +122,7 @@ def subspace_distance(m, m_hat) -> float:
         raise InvalidParameterError(
             f"column counts differ: {bm.n} vs {bh.n}"
         )
-    if not bh.orthonormal and not _rows_orthonormal(bh.matrix):
+    if not bh.orthonormal:
         warnings.warn(
             "estimated basis rows are not orthonormal; distance computed anyway",
             NotOrthonormalWarning,

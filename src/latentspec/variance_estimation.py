@@ -29,8 +29,9 @@ _MAX_REPORTED_VIOLATIONS = 20
 class VarianceEstimate:
     """The n diagonal entries of the correction plus the producing method.
 
-    ``negative_flag`` records whether any raw entry came out negative, which
-    cannot happen for in-support data and signals a modeling error upstream.
+    ``negative_flag`` records whether any entry came out negative.  For
+    in-support data the exact column average of v(y) is nonnegative, but
+    rounding can set the flag when a column's variance is near zero.
     """
 
     deltas: np.ndarray
@@ -67,7 +68,8 @@ def estimate_dk_qvf(y, f: Family) -> VarianceEstimate:
 
     v is quadratic, so the average is taken from the column means of y and
     y*y.  They are summed over sorted columns, so the result is exactly
-    invariant under row permutations of the input.
+    invariant under row permutations of the input.  The normal family's v
+    is the constant 1 and needs neither mean.
     """
     arr = as_values(y)
     ok = data_support_mask(f, arr)
@@ -81,10 +83,13 @@ def estimate_dk_qvf(y, f: Family) -> VarianceEstimate:
         )
     k = float(arr.shape[0])
     c = qvf_coefficients(f)
-    cols = np.sort(arr, axis=0)
-    mean_y = cols.sum(axis=0) / k
-    # Squared in place: the sort is the only k x n temporary.
-    mean_y2 = np.square(cols, out=cols).sum(axis=0) / k if c.b2 else None
+    # With b1 = b2 = 0 only the shape of mean_y is read.
+    mean_y, mean_y2 = np.zeros(arr.shape[1]), None
+    if c.b1 or c.b2:
+        cols = np.sort(arr, axis=0)
+        mean_y = cols.sum(axis=0) / k
+        # Squared in place: the sort is the only k x n temporary.
+        mean_y2 = np.square(cols, out=cols).sum(axis=0) / k if c.b2 else None
     deltas = qvf_transform(c, mean_y, mean_y2)
     return VarianceEstimate(
         deltas,

@@ -3,7 +3,7 @@
 Statistical criteria run at fixed seeds; every tolerance is stated inline.
 Criterion 4's first clause is expected to fail: the calibrated rank rule
 recovers the true rank on wide panels instead of reproducing the reported
-under-estimation there (see the project notes for the full analysis).
+under-estimation there (see the known-red paragraph of README.md).
 """
 
 import json
@@ -99,7 +99,7 @@ def test_criterion_3_binomial_failure_mode():
 def test_criterion_4_wide_panel_eta_sensitivity():
     # KNOWN RED: the calibrated rule recovers the true rank on this wide
     # panel (r_hat = r in ~95% of reps) instead of under-estimating, so the
-    # first clause cannot hold; see notes/decisions ledger for the analysis.
+    # first clause cannot hold; see the known-red paragraph of README.md.
     with criterion(4, "binomial n=100 r=2 k=1e4: eta=1/3 under-estimates "
                       ">= 90%, eta=1/1.1 under-estimates < 50%"):
         start = time.time()

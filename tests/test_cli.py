@@ -184,6 +184,19 @@ def test_estimate_auto_rank_record(tmp_path):
     count = sum(1 for v in scaled if v > record["c_tilde"])
     assert record["r_hat"] == count
     assert record["dk_method"] == "qvf:poisson"
+    assert record["negative_flag"] is False
+
+
+def test_estimate_records_negative_flag(tmp_path):
+    # Column 3 holds only 0 and s, where the binomial variance is zero; the
+    # correction there rounds to -1.87e-15.
+    data = tmp_path / "y.csv"
+    data.write_text("14,20,20\n6,14,20\n19,13,0\n")
+    out = tmp_path / "out"
+    main(["estimate", str(data), "--family", "binomial", "--s", "20",
+          "--rank", "fixed:1", "--out", str(out)])
+    record = json.loads((out / "rank.json").read_text())
+    assert record["negative_flag"] is True
 
 
 def test_estimate_matches_library(poisson_fixture, tmp_path):
@@ -387,6 +400,31 @@ def test_simulate_summary_matches_library(tmp_path):
     assert float(row["rho_median"]) == stats.rho_median
 
 
+def test_simulate_summary_counts_failed_reps(tmp_path, monkeypatch):
+    import latentspec.simulation as sim
+
+    real = sim.generate_scenario
+
+    def flaky(cfg, rep_index):
+        if rep_index == 2:
+            raise ValueError("boom")
+        return real(cfg, rep_index)
+
+    monkeypatch.setattr(sim, "generate_scenario", flaky)
+    # At k=2 most gamma replications find no calibration plateau.
+    path, _ = write_sim_config(tmp_path, scenario="gamma", k=2)
+    assert main(["simulate", str(path)]) == 0
+    with open(tmp_path / "sim" / "summary.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    with open(tmp_path / "sim" / "reps.csv", newline="") as fh:
+        reps = list(csv.DictReader(fh))
+    assert int(row["failed"]) == 1
+    counts = ("r_correct", "r_under", "r_over", "failed")
+    assert sum(int(row[c]) for c in counts) == 4
+    no_plateau = sum(r["no_plateau"] == "1" for r in reps)
+    assert int(row["no_plateau"]) == no_plateau >= 1
+
+
 def test_simulate_guardrails(tmp_path):
     path, _ = write_sim_config(tmp_path, k=20000)
     assert main(["simulate", str(path)]) == 2
@@ -417,6 +455,7 @@ def test_simulate_bad_config(tmp_path):
     ("n", "abc"),
     ("k", [300, "x"]),
     ("r", None),
+    ("scenario", [["poisson"]]),
     ("output_dir", 5),
 ])
 def test_simulate_malformed_field_exits_2(tmp_path, capsys, field, value):
@@ -575,3 +614,17 @@ def test_rank_sweep_noiseless_rank_one(tmp_path):
                "--r-grid", "1", "--m", str(m_path), "--out", str(out)])
     assert rc == 0
     assert read_matrix_csv(out)[0, 1] <= 1e-6
+
+
+# ------------------------------------------------------------------- README
+
+def test_readme_library_quick_start_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    cfg = ScenarioConfig(scenario="binomial", n=8, k=2000, r=2, reps=1, seed=3)
+    write_matrix_csv(tmp_path / "counts.csv", generate_scenario(cfg, 0).y.values)
+    monkeypatch.chdir(tmp_path)
+    exec(block, {})
+    r_hat, shape = capsys.readouterr().out.split(" ", 1)
+    assert shape.strip() == f"({r_hat}, 8)"

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from latentspec.errors import (
-    EmptyGridError,
-    InvalidParameterError,
-    LengthMismatchError,
-)
+from latentspec.errors import InvalidParameterError, LengthMismatchError
 from latentspec.latent_space import (
     ScalingConfig,
     adjusted_gram,
@@ -15,9 +11,6 @@ from latentspec.latent_space import (
     default_grid,
     estimate_latent_space,
     estimate_rank,
-    ETA_DEFAULT,
-    ETA_PRESET_FAST,
-    ETA_PRESET_MEDIUM,
 )
 from latentspec.matrix_core import frobenius_norm, gram_scaled
 from latentspec.simulation import ScenarioConfig, generate_scenario
@@ -130,16 +123,6 @@ def test_calibrate_scale_all_nonpositive_falls_back():
     assert trace.no_plateau and chosen == 1.0
 
 
-def test_calibrate_scale_grid_validation():
-    cfg = ScalingConfig()
-    with pytest.raises(EmptyGridError):
-        calibrate_scale(np.array([1.0, 0.5]), k=10, cfg=cfg, grid=[])
-    with pytest.raises(InvalidParameterError):
-        calibrate_scale(np.array([1.0, 0.5]), k=10, cfg=cfg, grid=[2.0, 1.0])
-    with pytest.raises(InvalidParameterError):
-        calibrate_scale(np.array([1.0, 0.5]), k=10, cfg=cfg, grid=[-1.0, 2.0])
-
-
 def test_calibrate_scale_trace_matches_direct_scan():
     # Oracle: recompute the rank at every grid value directly.
     rng = np.random.default_rng(2)
@@ -158,10 +141,6 @@ def test_default_grid_shape_and_anchor():
     anchor = 2.0 * 1000.0 ** (1.0 / 3.0)
     assert grid[0] == pytest.approx(1e-3 * anchor)
     assert grid[-1] == pytest.approx(1e3 * anchor)
-
-
-def test_eta_presets_ordering():
-    assert 0.0 < ETA_DEFAULT < ETA_PRESET_MEDIUM < ETA_PRESET_FAST <= 1.0
 
 
 def test_rank_estimate_rejects_inconsistent_count():

@@ -49,19 +49,19 @@ def test_frobenius_rejects_nan():
 # --------------------------------------------------------------- data matrix
 
 def test_data_matrix_shape_and_entries():
-    dm = DataMatrix.from_array([[1, 2, 3], [4, 5, 6]])
-    assert (dm.rows, dm.cols) == (2, 3)
-    assert dm.entry(1, 2) == 6.0
+    values = DataMatrix([[1, 2, 3], [4, 5, 6]]).values
+    assert values.shape == (2, 3) and values.dtype == np.float64
+    assert values[1, 2] == 6.0
 
 
 def test_data_matrix_rejects_single_column():
     with pytest.raises(InvalidParameterError):
-        DataMatrix.from_array([[1.0], [2.0]])
+        DataMatrix([[1.0], [2.0]])
 
 
 def test_data_matrix_rejects_nonfinite():
     with pytest.raises(InvalidParameterError):
-        DataMatrix.from_array([[1.0, np.inf]])
+        DataMatrix([[1.0, np.inf]])
 
 
 # --------------------------------------------------------------------- gram

@@ -172,7 +172,7 @@ def test_run_replications_records_failures_without_aborting(monkeypatch):
     monkeypatch.setattr(sim, "generate_scenario", flaky)
     cfg = ScenarioConfig(scenario="poisson", n=8, k=300, r=2, reps=3, seed=16)
     stats = sim.run_replications(cfg)
-    assert stats.completed == 2
+    assert stats.completed == 2 and stats.failed == 1
     assert stats.records[1].error is not None
     assert "boom" in stats.records[1].error
 

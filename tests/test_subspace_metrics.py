@@ -140,7 +140,8 @@ def test_distance_column_mismatch():
 
 
 def test_basis_wrapper_detects_orthonormality():
-    b = RowSpaceBasis(np.eye(3)[:2], orthonormal=True)
-    assert b.r == 2 and b.n == 3
+    b = RowSpaceBasis(np.eye(3)[:2])
+    assert b.r == 2 and b.n == 3 and b.orthonormal
+    assert not RowSpaceBasis(2.0 * np.eye(3)[:2]).orthonormal
     with pytest.raises(RankDeficientError):
         RowSpaceBasis(np.zeros((1, 3)))
