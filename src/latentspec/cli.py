@@ -27,6 +27,7 @@ from .errors import (
     SupportViolationError,
 )
 from .latent_space import ETA_DEFAULT, ScalingConfig, estimate_latent_space
+from .matrix_core import DataMatrix
 from .matrixio import format_value, read_matrix_csv, read_vector_csv, write_matrix_csv
 from .nef_qvf import FAMILY_KINDS, Family, family_to_dict
 from .simulation import (
@@ -82,6 +83,14 @@ def _read_csv(reader, path) -> np.ndarray:
 def _load_matrix(path, transpose=False) -> np.ndarray:
     arr = _read_csv(read_matrix_csv, path)
     return arr.T if transpose else arr
+
+
+def _load_data(path, transpose=False) -> DataMatrix:
+    """Read the data matrix and validate it once for every later stage."""
+    try:
+        return DataMatrix(_load_matrix(path, transpose))
+    except InvalidParameterError as exc:
+        raise CliError(f"{path}: {exc}")
 
 
 def _write_table(path, header, rows) -> None:
@@ -192,9 +201,10 @@ def _variance_estimate(args, data) -> tuple:
         except LatentSpecError as exc:
             raise CliError(str(exc))
     deltas = _read_csv(read_vector_csv, args.dk_file)
-    if deltas.shape[0] != data.shape[1]:
+    n = data.values.shape[1]
+    if deltas.shape[0] != n:
         raise CliError(
-            f"--dk-file length {deltas.shape[0]} != column count {data.shape[1]}"
+            f"--dk-file length {deltas.shape[0]} != column count {n}"
         )
     return explicit(deltas), None
 
@@ -227,8 +237,8 @@ def _rank_record(est, dk) -> dict:
 
 
 def cmd_estimate(args) -> int:
-    data = _load_matrix(args.data, args.transpose)
-    k, n = data.shape
+    data = _load_data(args.data, args.transpose)
+    k, n = data.values.shape
     if k <= n:
         print(
             f"warning: {k} rows <= {n} columns; more rows than columns "
@@ -417,9 +427,9 @@ def cmd_distance(args) -> int:
 
 
 def cmd_subsample(args) -> int:
-    data = _load_matrix(args.data, args.transpose)
+    data = _load_data(args.data, args.transpose)
     m = _load_matrix(args.m)
-    k_full, n = data.shape
+    k_full, n = data.values.shape
     if m.shape[1] != n:
         raise CliError(f"M has {m.shape[1]} columns, data has {n}")
     k_grid = _parse_int_list(args.k_grid, "--k-grid")
@@ -438,7 +448,7 @@ def cmd_subsample(args) -> int:
         for rep in range(args.reps):
             rng = rep_rng(args.seed, ki * args.reps + rep)
             idx = np.sort(rng.choice(k_full, size=kv, replace=False))
-            sub = data[idx, :]
+            sub = DataMatrix(data.values[idx, :])
             try:
                 dk = estimate_dk_qvf(sub, fam)
                 est = estimate_latent_space(sub, dk, rank=rank, cfg=cfg)
@@ -459,8 +469,8 @@ def cmd_subsample(args) -> int:
 
 
 def cmd_rank_sweep(args) -> int:
-    data = _load_matrix(args.data, args.transpose)
-    n = data.shape[1]
+    data = _load_data(args.data, args.transpose)
+    n = data.values.shape[1]
     r_grid = _parse_int_list(args.r_grid, "--r-grid")
     for r in r_grid:
         if not 1 <= r <= n:

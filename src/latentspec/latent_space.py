@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, LengthMismatchError
-from .matrix_core import SymmetricEigen, as_values, gram_scaled, sym_eigen
+from .matrix_core import SymmetricEigen, as_data, gram_scaled, sym_eigen
 from .variance_estimation import VarianceEstimate
 
 ETA_DEFAULT = 1.0 / 3.0
@@ -126,14 +126,15 @@ class SubspaceEstimate:
 
 def adjusted_gram(y, d) -> np.ndarray:
     """Scaled gram of the data minus the diagonal variance correction."""
-    arr = as_values(y)
+    data = as_data(y)
+    n = data.values.shape[1]
     deltas = d.deltas if isinstance(d, VarianceEstimate) else np.asarray(d, float)
     deltas = deltas.reshape(-1)
-    if deltas.shape[0] != arr.shape[1]:
+    if deltas.shape[0] != n:
         raise LengthMismatchError(
-            f"correction length {deltas.shape[0]} != column count {arr.shape[1]}"
+            f"correction length {deltas.shape[0]} != column count {n}"
         )
-    g = gram_scaled(arr)
+    g = gram_scaled(data)
     g[np.diag_indices_from(g)] -= deltas
     return g
 
@@ -268,9 +269,9 @@ def estimate_latent_space(y, d, rank="auto",
     An automatic rank of zero yields the distinct empty-subspace result
     (zero-row basis) rather than an error.
     """
-    arr = as_values(y)
-    k, n = arr.shape
-    g = adjusted_gram(arr, d)
+    data = as_data(y)
+    k, n = data.values.shape
+    g = adjusted_gram(data, d)
     eig = sym_eigen(g)
 
     rank_record = None

@@ -50,11 +50,13 @@ class DataMatrix:
         object.__setattr__(self, "values", arr)
 
 
-def as_values(y) -> np.ndarray:
-    """Accept a DataMatrix or array-like and return the validated ndarray."""
-    if isinstance(y, DataMatrix):
-        return y.values
-    return DataMatrix(y).values
+def as_data(y) -> DataMatrix:
+    """Return a DataMatrix as is, or validate an array-like into one.
+
+    Validation is a full pass over the matrix, so a caller that hands the
+    data on to other stages passes the DataMatrix, not its values.
+    """
+    return y if isinstance(y, DataMatrix) else DataMatrix(y)
 
 
 def frobenius_norm(a) -> float:
@@ -76,7 +78,7 @@ def gram_scaled(y) -> np.ndarray:
     symmetric bit-for-bit.  The single division by k happens after
     accumulation to keep intermediate sums well-scaled.
     """
-    arr = as_values(y)
+    arr = as_data(y).values
     k = arr.shape[0]
     g = arr.T @ arr
     g = np.triu(g) + np.triu(g, 1).T
@@ -149,6 +151,10 @@ def sym_eigen(a) -> SymmetricEigen:
 
     vecs = _fix_sign(vecs)
     # Descending eigenvalues; exact ties ordered by the sign-fixed vectors,
-    # compared lexicographically from the first entry.
-    order = np.lexsort(np.vstack([-vecs[::-1], -vals]))
+    # compared lexicographically from the first entry.  eigh returns them
+    # ascending, so without ties reversing its order is the same sort.
+    if np.all(vals[1:] > vals[:-1]):
+        order = np.arange(n - 1, -1, -1)
+    else:
+        order = np.lexsort(np.vstack([-vecs[::-1], -vals]))
     return SymmetricEigen(eigenvalues=vals[order], eigenvectors=vecs[:, order])

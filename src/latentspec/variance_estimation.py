@@ -19,10 +19,14 @@ from .errors import (
     LengthMismatchError,
     SupportViolationError,
 )
-from .matrix_core import as_values, gram_scaled, sym_eigen
+from .matrix_core import as_data, gram_scaled, sym_eigen
 from .nef_qvf import Family, data_support_mask, qvf_coefficients, qvf_transform
 
 _MAX_REPORTED_VIOLATIONS = 20
+# Families whose in-support data are nonnegative integers, and the bound
+# below which sums of such integers are exact in float64.
+_COUNT_KINDS = frozenset({"poisson", "binomial", "negbin"})
+_EXACT_SUM_BOUND = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -67,11 +71,16 @@ def estimate_dk_qvf(y, f: Family) -> VarianceEstimate:
     negative variance estimate always indicates a wrong family choice.
 
     v is quadratic, so the average is taken from the column means of y and
-    y*y.  They are summed over sorted columns, so the result is exactly
-    invariant under row permutations of the input.  The normal family's v
-    is the constant 1 and needs neither mean.
+    y*y, and the result is exactly invariant under row permutations of the
+    input.  Count data (poisson, binomial, negbin) that passed the support
+    check are nonnegative integers; when also k * max(y)^2 < 2^53, every
+    partial sum of y and of y*y is an integer below 2^53, hence exact in
+    float64 in any order, and the columns are summed as they stand.  Other
+    data (gamma, GHS, larger counts) are summed over sorted columns, which
+    fixes the order.  The normal family's v is the constant 1 and needs
+    neither mean.
     """
-    arr = as_values(y)
+    arr = as_data(y).values
     ok = data_support_mask(f, arr)
     if not ok.all():
         bad = np.argwhere(~ok)
@@ -85,7 +94,11 @@ def estimate_dk_qvf(y, f: Family) -> VarianceEstimate:
     c = qvf_coefficients(f)
     # With b1 = b2 = 0 only the shape of mean_y is read.
     mean_y, mean_y2 = np.zeros(arr.shape[1]), None
-    if c.b1 or c.b2:
+    counts = f.kind in _COUNT_KINDS
+    if counts and arr.shape[0] * int(arr.max()) ** 2 < _EXACT_SUM_BOUND:
+        mean_y = arr.sum(axis=0) / k
+        mean_y2 = np.einsum("ij,ij->j", arr, arr) / k if c.b2 else None
+    elif c.b1 or c.b2:
         cols = np.sort(arr, axis=0)
         mean_y = cols.sum(axis=0) / k
         # Squared in place: the sort is the only k x n temporary.
@@ -106,14 +119,14 @@ def estimate_dk_leek(y, t: int) -> VarianceEstimate:
     sigma^2 = (sum of l_j for j = t..n) / (n - t), and every diagonal entry
     is set to it.  Meaningful use needs t larger than the true rank.
     """
-    arr = as_values(y)
-    n = arr.shape[1]
+    data = as_data(y)
+    n = data.values.shape[1]
     t = int(t)
     if t < 1 or t > n:
         raise InvalidParameterError(f"t must be in [1, n={n}], got {t}")
     if t == n:
         raise DegenerateTailError("t = n leaves an empty residual sum")
-    lam = np.clip(sym_eigen(gram_scaled(arr)).eigenvalues, 0.0, None)
+    lam = np.clip(sym_eigen(gram_scaled(data)).eigenvalues, 0.0, None)
     sigma2 = float(np.sum(lam[t - 1:])) / (n - t)
     return VarianceEstimate(
         np.full(n, sigma2), method=f"leek:t={t}"

@@ -250,6 +250,42 @@ def test_estimate_exit_codes(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flags", [["--family", "poisson"], ["--leek", "1"]])
+@pytest.mark.parametrize("text, reason", [
+    ("1\n2\n3\n", "at least 1 x 2"),
+    ("1,2\nnan,3\n4,5\n", "non-finite"),
+])
+def test_estimate_invalid_data_matrix_exits_2(tmp_path, capsys, flags, text, reason):
+    data = tmp_path / "y.csv"
+    data.write_text(text)
+    rc = main(["estimate", str(data), *flags, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(data) in err and reason in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--family", "poisson"], ["--family", "normal"], ["--leek", "2"],
+])
+def test_estimate_validates_data_once(poisson_fixture, tmp_path, monkeypatch, flags):
+    # Validation is a full finiteness pass over the k x n matrix; the data
+    # are wrapped once and every later stage reuses the DataMatrix.
+    from latentspec import matrix_core
+
+    names = []
+    real = matrix_core._as_2d_float
+
+    def spy(a, name="matrix"):
+        names.append(name)
+        return real(a, name)
+
+    monkeypatch.setattr(matrix_core, "_as_2d_float", spy)
+    _, y_path, _ = poisson_fixture
+    rc = main(["estimate", str(y_path), *flags, "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert names.count("data matrix") == 1
+
+
 def test_estimate_leek_and_dk_file(tmp_path):
     rng = np.random.default_rng(3)
     y = rng.normal(size=(60, 5))

@@ -204,6 +204,21 @@ def test_eigen_tie_order_matches_loop_reference():
         )
 
 
+def test_eigen_untied_order_is_reversed_eigh_order():
+    # Without ties the sort by (-value, -vector) is eigh's order reversed.
+    rng = np.random.default_rng(11)
+    for n in (2, 5, 50, 300):
+        a = random_symmetric(rng, n)
+        vals, vecs = np.linalg.eigh(a)
+        assert np.all(np.diff(vals) > 0)
+        lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
+        vecs = np.where(lead < 0.0, -vecs, vecs)
+        order = np.lexsort(np.vstack([-vecs[::-1], -vals]))
+        eig = sym_eigen(a)
+        assert np.array_equal(eig.eigenvalues, vals[order])
+        assert np.array_equal(eig.eigenvectors, vecs[:, order])
+
+
 def test_eigen_zero_matrix():
     eig = sym_eigen(np.zeros((4, 4)))
     np.testing.assert_array_equal(eig.eigenvalues, np.zeros(4))

@@ -9,7 +9,17 @@ from latentspec.errors import (
     LengthMismatchError,
     SupportViolationError,
 )
-from latentspec.nef_qvf import binomial, gamma, ghs, negbin, normal, poisson, v_value
+from latentspec.nef_qvf import (
+    binomial,
+    gamma,
+    ghs,
+    negbin,
+    normal,
+    poisson,
+    qvf_coefficients,
+    qvf_transform,
+    v_value,
+)
 from latentspec.simulation import ScenarioConfig, generate_scenario
 from latentspec.variance_estimation import (
     dk_error,
@@ -66,6 +76,68 @@ def test_qvf_row_permutation_bit_invariant():
             perm = np.random.default_rng(seed).permutation(200)
             shuffled = estimate_dk_qvf(y[perm], f).deltas
             assert np.array_equal(base, shuffled), f.kind
+
+
+COUNT_FAMILIES = [poisson(), binomial(20), negbin(10)]
+
+
+def sorted_sum_deltas(f, y):
+    """The correction from column sums taken over sorted columns."""
+    cols = np.sort(y, axis=0)
+    k = y.shape[0]
+    return qvf_transform(qvf_coefficients(f), cols.sum(axis=0) / k,
+                         (cols * cols).sum(axis=0) / k)
+
+
+def count_sorts(monkeypatch):
+    calls = []
+    real = np.sort
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", spy)
+    return calls
+
+
+@pytest.mark.parametrize("f", COUNT_FAMILIES, ids=lambda f: f.kind)
+def test_qvf_counts_sum_without_sort_bit_equal_to_sorted(f, monkeypatch):
+    # Counts with k * max(y)^2 < 2^53 have exact sums in any order, so the
+    # plain column sums give the sorted sums' bits.  The last case sits just
+    # under the bound, where y*y sums reach about 2^52.
+    rng = np.random.default_rng(3)
+    cases = [family_data(f, rng, (500, 6)), family_data(f, rng, (1, 4)),
+             np.zeros((30, 3))]
+    big = binomial(4e6) if f.kind == "binomial" else f
+    near_bound = rng.poisson(2.5e6, size=(1000, 4)).astype(float)
+    assert 1000 * near_bound.max() ** 2 < 2.0**53
+    cases.append(near_bound)
+    for y in cases:
+        fam = big if y is near_bound else f
+        want = sorted_sum_deltas(fam, y)
+        sorts = count_sorts(monkeypatch)
+        got = estimate_dk_qvf(y, fam).deltas
+        assert got.tobytes() == want.tobytes()
+        assert sorts == []
+
+
+@pytest.mark.parametrize("f", [poisson(), binomial(4e7), negbin(10)],
+                         ids=lambda f: f.kind)
+def test_qvf_large_counts_sorted_and_row_permutation_invariant(f, monkeypatch):
+    # Counts near 1e7 with k=200 give k * max(y)^2 >= 2^53: sums of y*y are
+    # rounded, so only the sort makes them independent of the row order.
+    rng = np.random.default_rng(4)
+    y = rng.poisson(rng.uniform(0.5e7, 1.5e7, size=(1, 6)), size=(200, 6))
+    y = y.astype(float)
+    assert 200 * y.max() ** 2 >= 2.0**53
+    sorts = count_sorts(monkeypatch)
+    base = estimate_dk_qvf(y, f).deltas
+    assert len(sorts) == 1
+    assert base.tobytes() == sorted_sum_deltas(f, y).tobytes()
+    for seed in range(5):
+        perm = np.random.default_rng(seed).permutation(200)
+        assert estimate_dk_qvf(y[perm], f).deltas.tobytes() == base.tobytes()
 
 
 @pytest.mark.parametrize("f", FAMILIES, ids=lambda f: f.kind)
