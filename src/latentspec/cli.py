@@ -2,8 +2,13 @@
 
 Commands: estimate | simulate | distance | subsample | rank-sweep.  All
 outputs are plot-ready CSV plus JSON decision records; every command with a
-seed is bit-reproducible.  Exit codes: 2 parse/config error, 3 support
-violation or rank-deficient input, 4 degenerate (empty) result.
+seed is bit-reproducible.
+
+Exit codes, decided in ``main`` alone:
+  2  a malformed or missing file, a bad flag or config value, an invalid
+     data matrix or an unusable output path;
+  3  a support violation or a rank-deficient basis;
+  4  an empty subspace.
 """
 
 from __future__ import annotations
@@ -54,41 +59,18 @@ MAX_REPS_DEFAULT = 100
 
 
 class CliError(Exception):
-    def __init__(self, message, code=EXIT_PARSE):
-        super().__init__(message)
-        self.code = code
+    """A bad flag or config value found by the command line itself."""
 
 
 def _resolve_threads(value) -> int:
-    env = os.environ.get("LATENTSPEC_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise CliError(f"LATENTSPEC_THREADS is not an integer: {env!r}")
-    if value is not None:
-        return max(1, int(value))
-    return max(1, os.cpu_count() or 1)
-
-
-def _read_csv(reader, path) -> np.ndarray:
-    try:
-        return reader(path)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror or exc}")
-    except InvalidParameterError as exc:
-        raise CliError(str(exc))
-
-
-def _load_matrix(path, transpose=False) -> np.ndarray:
-    arr = _read_csv(read_matrix_csv, path)
-    return arr.T if transpose else arr
+    return max(1, value if value is not None else os.cpu_count() or 1)
 
 
 def _load_data(path, transpose=False) -> DataMatrix:
     """Read the data matrix and validate it once for every later stage."""
+    arr = read_matrix_csv(path)
     try:
-        return DataMatrix(_load_matrix(path, transpose))
+        return DataMatrix(arr.T if transpose else arr)
     except InvalidParameterError as exc:
         raise CliError(f"{path}: {exc}")
 
@@ -101,12 +83,7 @@ def _write_table(path, header, rows) -> None:
 
 
 def _family_from_args(args) -> Family | None:
-    if args.family is None:
-        return None
-    try:
-        return Family(args.family, args.s)
-    except InvalidParameterError as exc:
-        raise CliError(str(exc))
+    return None if args.family is None else Family(args.family, args.s)
 
 
 def _parse_rank(text: str):
@@ -132,10 +109,7 @@ def _scaling(c_tilde: float, eta: float, scale, scale_name: str) -> ScalingConfi
                 f"{scale_name} must be 'auto' or a positive number, got {scale!r}"
             )
         scale = number
-    try:
-        return ScalingConfig(c_tilde=c_tilde, eta=eta, scale_coefficient=scale)
-    except InvalidParameterError as exc:
-        raise CliError(str(exc))
+    return ScalingConfig(c_tilde=c_tilde, eta=eta, scale_coefficient=scale)
 
 
 def _scaling_from_args(args) -> ScalingConfig:
@@ -191,16 +165,10 @@ def _variance_estimate(args, data) -> tuple:
         )
     if args.family is not None:
         fam = _family_from_args(args)
-        try:
-            return estimate_dk_qvf(data, fam), fam
-        except SupportViolationError as exc:
-            raise CliError(str(exc), code=EXIT_SUPPORT)
+        return estimate_dk_qvf(data, fam), fam
     if args.leek is not None:
-        try:
-            return estimate_dk_leek(data, args.leek), None
-        except LatentSpecError as exc:
-            raise CliError(str(exc))
-    deltas = _read_csv(read_vector_csv, args.dk_file)
+        return estimate_dk_leek(data, args.leek), None
+    deltas = read_vector_csv(args.dk_file)
     n = data.values.shape[1]
     if deltas.shape[0] != n:
         raise CliError(
@@ -248,10 +216,7 @@ def cmd_estimate(args) -> int:
     dk, fam = _variance_estimate(args, data)
     rank = _parse_rank(args.rank)
     cfg = _scaling_from_args(args)
-    try:
-        est = estimate_latent_space(data, dk, rank=rank, cfg=cfg)
-    except (SupportViolationError, OutOfSupportError) as exc:
-        raise CliError(str(exc), code=EXIT_SUPPORT)
+    est = estimate_latent_space(data, dk, rank=rank, cfg=cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -292,7 +257,7 @@ def _config_cells(cfg: dict) -> list[dict]:
 def cmd_simulate(args) -> int:
     try:
         cfg = json.loads(Path(args.config).read_text())
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bytes
+    except ValueError as exc:  # bad JSON or bytes
         raise CliError(f"cannot read config {args.config}: {exc}")
     if not isinstance(cfg, dict):
         raise CliError(f"config {args.config} is not a JSON object")
@@ -335,13 +300,10 @@ def cmd_simulate(args) -> int:
     summary_rows = []
     rep_rows = []
     for cell in cells:
-        try:
-            sc = ScenarioConfig(
-                scenario=cell["scenario"], n=cell["n"], k=cell["k"], r=cell["r"],
-                reps=reps, seed=seed, scaling=scaling,
-            )
-        except InvalidParameterError as exc:
-            raise CliError(str(exc))
+        sc = ScenarioConfig(
+            scenario=cell["scenario"], n=cell["n"], k=cell["k"], r=cell["r"],
+            reps=reps, seed=seed, scaling=scaling,
+        )
         stats = run_replications(sc, threads=threads)
         summary_rows.append(
             [
@@ -389,26 +351,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    m = _load_matrix(args.m)
-    m_hat = _load_matrix(args.m_hat)
-    if m.shape[1] != m_hat.shape[1]:
-        raise CliError(
-            f"column counts differ: {m.shape[1]} vs {m_hat.shape[1]}"
-        )
+    m = read_matrix_csv(args.m)
+    m_hat = read_matrix_csv(args.m_hat)
     normalized = False
     if args.normalize_m:
         norms = np.sqrt(np.sum(m * m, axis=1, keepdims=True))
         if np.any(norms == 0):
-            raise CliError("cannot normalize a zero row", code=EXIT_SUPPORT)
+            raise RankDeficientError("cannot normalize a zero row")
         m = m / norms
         normalized = True
     ortho = True
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            d = subspace_distance(m, m_hat)
-        except RankDeficientError as exc:
-            raise CliError(str(exc), code=EXIT_SUPPORT)
+        d = subspace_distance(m, m_hat)
         for w in caught:
             if issubclass(w.category, NotOrthonormalWarning):
                 ortho = False
@@ -428,7 +383,7 @@ def cmd_distance(args) -> int:
 
 def cmd_subsample(args) -> int:
     data = _load_data(args.data, args.transpose)
-    m = _load_matrix(args.m)
+    m = read_matrix_csv(args.m)
     k_full, n = data.values.shape
     if m.shape[1] != n:
         raise CliError(f"M has {m.shape[1]} columns, data has {n}")
@@ -449,11 +404,8 @@ def cmd_subsample(args) -> int:
             rng = rep_rng(args.seed, ki * args.reps + rep)
             idx = np.sort(rng.choice(k_full, size=kv, replace=False))
             sub = DataMatrix(data.values[idx, :])
-            try:
-                dk = estimate_dk_qvf(sub, fam)
-                est = estimate_latent_space(sub, dk, rank=rank, cfg=cfg)
-            except (SupportViolationError, OutOfSupportError) as exc:
-                raise CliError(str(exc), code=EXIT_SUPPORT)
+            dk = estimate_dk_qvf(sub, fam)
+            est = estimate_latent_space(sub, dk, rank=rank, cfg=cfg)
             if est.is_empty:
                 dists.append(float("nan"))
             else:
@@ -478,25 +430,18 @@ def cmd_rank_sweep(args) -> int:
     fam = _family_from_args(args)
     if fam is None:
         raise CliError("--family is required")
-    m = _load_matrix(args.m) if args.m else None
+    m = read_matrix_csv(args.m) if args.m else None
     if m is not None and m.shape[1] != n:
         raise CliError(f"M has {m.shape[1]} columns, data has {n}")
 
-    try:
-        dk = estimate_dk_qvf(data, fam)
-    except SupportViolationError as exc:
-        raise CliError(str(exc), code=EXIT_SUPPORT)
+    dk = estimate_dk_qvf(data, fam)
     eig = estimate_latent_space(data, dk, rank=n).eigen
 
     rows = []
     for r in r_grid:
         m_hat = eig.eigenvectors[:, :r].T
         if m is not None:
-            try:
-                d = subspace_distance(m, m_hat)
-            except RankDeficientError as exc:
-                raise CliError(str(exc), code=EXIT_SUPPORT)
-            rows.append([r, format_value(d)])
+            rows.append([r, format_value(subspace_distance(m, m_hat))])
         else:
             rows.append([r, ""])
 
@@ -587,13 +532,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (SupportViolationError, OutOfSupportError, RankDeficientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_SUPPORT
+    except (CliError, LatentSpecError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, OutOfSupportError
+from .errors import InvalidParameterError
 from .latent_space import ScalingConfig, estimate_latent_space
 from .matrix_core import DataMatrix
 from .nef_qvf import Family, variance_from_mean
 from .subspace_metrics import subspace_distance
-from .variance_estimation import VarianceEstimate, dk_error, estimate_dk_qvf, known_unit
+from .variance_estimation import dk_error, estimate_dk_qvf
 
 # Observation family of each scenario.
 SCENARIO_FAMILIES = {
@@ -124,32 +124,23 @@ def generate_scenario(cfg: ScenarioConfig, rep_index: int) -> ScenarioDraw:
         m = rng.uniform(0.3, 1.5, size=(r, n))
 
     theta = phi @ m
+    means = family.s * theta if scenario == "binomial" else theta
+    # Raises OutOfSupportError for means outside the family's region.
+    true_deltas = variance_from_mean(family, means).mean(axis=0)
 
     if scenario == "binomial":
-        if np.any(theta <= 0.0) or np.any(theta >= 1.0):
-            raise OutOfSupportError(
-                "binomial scenario produced probabilities outside (0, 1)"
-            )
         y = rng.binomial(int(family.s), theta).astype(float)
     elif scenario == "normal":
         y = theta + rng.normal(0.0, 1.0, size=theta.shape)
     elif scenario == "poisson":
-        if np.any(theta < 0.0):
-            raise OutOfSupportError("poisson scenario produced negative means")
         y = rng.poisson(theta).astype(float)
     elif scenario == "negbin":
-        if np.any(theta < 0.0):
-            raise OutOfSupportError("negbin scenario produced negative means")
         s = family.s
         y = rng.negative_binomial(s, s / (s + theta)).astype(float)
     else:  # gamma
-        if np.any(theta <= 0.0):
-            raise OutOfSupportError("gamma scenario produced nonpositive means")
         s = family.s
         y = rng.gamma(s, theta / s)
 
-    means = family.s * theta if scenario == "binomial" else theta
-    true_deltas = variance_from_mean(family, means).mean(axis=0)
     w_exact = (phi.T @ phi) / float(k)
 
     return ScenarioDraw(
@@ -253,10 +244,7 @@ def _run_one(cfg: ScenarioConfig, rep_index: int) -> RepRecord:
     try:
         draw = generate_scenario(cfg, rep_index)
         y = draw.y
-        if cfg.scenario == "normal":
-            dk: VarianceEstimate = known_unit(cfg.n)
-        else:
-            dk = estimate_dk_qvf(y, draw.family)
+        dk = estimate_dk_qvf(y, draw.family)
         rho = dk_error(dk, draw.true_deltas)
 
         est = estimate_latent_space(y, dk, rank="auto", cfg=cfg.scaling)

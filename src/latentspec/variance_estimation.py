@@ -53,11 +53,6 @@ class VarianceEstimate:
         return self.deltas.shape[0]
 
 
-def known_unit(n: int) -> VarianceEstimate:
-    """All-ones diagonal for unit-variance Normal data."""
-    return VarianceEstimate(np.ones(int(n)), method="known-unit")
-
-
 def explicit(deltas) -> VarianceEstimate:
     """Wrap user-supplied diagonal entries."""
     return VarianceEstimate(np.asarray(deltas, dtype=float), method="explicit")

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,14 @@ import numpy as np
 import pytest
 
 import latentspec
-from latentspec.cli import main
+from latentspec import cli
+from latentspec.cli import build_parser, main
+from latentspec.errors import (
+    LatentSpecError,
+    OutOfSupportError,
+    RankDeficientError,
+    SupportViolationError,
+)
 from latentspec.latent_space import estimate_latent_space
 from latentspec.matrixio import read_matrix_csv, write_matrix_csv
 from latentspec.simulation import ScenarioConfig, generate_scenario
@@ -503,16 +511,6 @@ def test_simulate_malformed_field_exits_2(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
-def test_simulate_threads_env_override(tmp_path, monkeypatch):
-    path, _ = write_sim_config(tmp_path, k=300)
-    monkeypatch.setenv("LATENTSPEC_THREADS", "3")
-    assert main(["simulate", str(path), "--threads", "1"]) == 0
-    blob = (tmp_path / "sim" / "summary.csv").read_bytes()
-    monkeypatch.delenv("LATENTSPEC_THREADS")
-    assert main(["simulate", str(path), "--threads", "1"]) == 0
-    assert (tmp_path / "sim" / "summary.csv").read_bytes() == blob
-
-
 def test_simulate_threads_invariant_at_threaded_lapack_size(tmp_path):
     # n=300 is large enough for a threaded LAPACK path, which the n <= 10
     # tests above never reach.  BLAS threads stay fixed at 2; only --threads
@@ -529,7 +527,6 @@ def test_simulate_threads_invariant_at_threaded_lapack_size(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
-    env.pop("LATENTSPEC_THREADS", None)
     src = str(Path(latentspec.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
@@ -652,7 +649,95 @@ def test_rank_sweep_noiseless_rank_one(tmp_path):
     assert read_matrix_csv(out)[0, 1] <= 1e-6
 
 
+# ------------------------------------------------------------------- exit codes
+
+@pytest.fixture
+def exit_case_files(tmp_path):
+    """Small inputs for the exit-code table; ``file`` is a regular file."""
+    rng = np.random.default_rng(8)
+    files = {
+        "y": rng.poisson(5.0, size=(40, 4)).astype(float),
+        "m": np.eye(4)[:2],
+        "m_nan": [[np.nan, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
+        "m_parallel": [[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]],
+        "dk_inf": [1.0, np.inf, 1.0, 1.0],
+    }
+    paths = {"tmp": str(tmp_path)}
+    for name, values in files.items():
+        write_matrix_csv(tmp_path / f"{name}.csv", values)
+        paths[name] = str(tmp_path / f"{name}.csv")
+    (tmp_path / "file").write_text("not a directory\n")
+    paths["file"] = str(tmp_path / "file")
+    config = {"scenario": "poisson", "n": 4, "k": 50, "r": 1, "reps": 1,
+              "output_dir": str(tmp_path / "file" / "sim")}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    paths["config"] = str(tmp_path / "config.json")
+    return paths
+
+
+SUBSAMPLE = "subsample {y} {m} --family poisson --k-grid 20 --reps 1"
+
+
+@pytest.mark.parametrize("code, command", [
+    pytest.param(2, "estimate {y} --family poisson --rank fixed:9 --out {tmp}/o",
+                 id="estimate-rank-above-n"),
+    pytest.param(2, SUBSAMPLE + " --rank fixed:9 --out {tmp}/c.csv",
+                 id="subsample-rank-above-n"),
+    pytest.param(2, "estimate {y} --dk-file {dk_inf} --out {tmp}/o",
+                 id="estimate-dk-file-inf"),
+    pytest.param(2, "distance {m_nan} {m}", id="distance-nan-in-m"),
+    pytest.param(2, "rank-sweep {y} --family poisson --r-grid 1:2 --m {m_nan} "
+                    "--out {tmp}/s.csv", id="rank-sweep-nan-in-m"),
+    pytest.param(2, "estimate {y} --family poisson --out {file}/sub",
+                 id="estimate-out-under-file"),
+    pytest.param(2, "simulate {config}", id="simulate-output-dir-under-file"),
+    pytest.param(2, SUBSAMPLE + " --rank fixed:2 --out {file}/c.csv",
+                 id="subsample-out-under-file"),
+    pytest.param(3, SUBSAMPLE.replace("{m}", "{m_parallel}")
+                 + " --rank fixed:2 --out {tmp}/c.csv",
+                 id="subsample-parallel-reference"),
+])
+def test_error_exit_codes(exit_case_files, capsys, code, command):
+    argv = [arg.format(**exit_case_files) for arg in command.split()]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
+
+
+def _error_classes(base=LatentSpecError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+@pytest.mark.parametrize("error", sorted(_error_classes(), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_main_maps_every_library_error(monkeypatch, capsys, error):
+    def raise_it(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_distance", raise_it)
+    support = (SupportViolationError, OutOfSupportError, RankDeficientError)
+    assert main(["distance", "m.csv", "m_hat.csv"]) == (3 if error in support else 2)
+    assert capsys.readouterr().err == "error: boom\n"
+
+
 # ------------------------------------------------------------------- README
+
+def test_readme_command_lines_parse():
+    # Parsed, not run: a renamed or removed flag fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) == 8
+    for argv in commands:
+        assert argv[0] == "latentspec"
+        build_parser().parse_args(argv[1:])
+
 
 def test_readme_library_quick_start_runs(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -153,7 +153,7 @@ def test_run_replications_thread_invariant():
     assert a.records == b.records
 
 
-def test_run_replications_normal_uses_known_unit():
+def test_run_replications_normal_correction_is_exact():
     cfg = ScenarioConfig(scenario="normal", n=8, k=400, r=2, reps=3, seed=14)
     stats = run_replications(cfg)
     assert stats.rho_median == 0.0

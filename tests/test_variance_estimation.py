@@ -26,7 +26,6 @@ from latentspec.variance_estimation import (
     estimate_dk_leek,
     estimate_dk_qvf,
     explicit,
-    known_unit,
 )
 
 
@@ -228,12 +227,6 @@ def test_dk_error_examples():
 def test_dk_error_length_mismatch():
     with pytest.raises(LengthMismatchError):
         dk_error(explicit([1.0, 1.0]), [1.0, 1.0, 1.0])
-
-
-def test_known_unit():
-    est = known_unit(4)
-    assert np.array_equal(est.deltas, np.ones(4))
-    assert est.method == "known-unit"
 
 
 def test_dk_error_shrinks_with_more_rows():
