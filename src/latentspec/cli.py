@@ -382,6 +382,8 @@ def cmd_distance(args) -> int:
 
 
 def cmd_subsample(args) -> int:
+    if args.reps < 1:
+        raise CliError(f"--reps must be at least 1, got {args.reps}")
     data = _load_data(args.data, args.transpose)
     m = read_matrix_csv(args.m)
     k_full, n = data.values.shape

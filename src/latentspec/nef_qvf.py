@@ -20,6 +20,9 @@ from .errors import InvalidParameterError, OutOfSupportError
 
 FAMILY_KINDS = ("normal", "poisson", "binomial", "negbin", "gamma", "ghs")
 _NEEDS_S = frozenset({"binomial", "negbin", "gamma", "ghs"})
+# data_in_support tests integrality in row blocks of about this many
+# entries, so that np.floor's temporary stays in cache.
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -172,6 +175,25 @@ def data_support_mask(f: Family, y) -> np.ndarray:
     if kind == "binomial":
         ok &= arr <= f.s
     return ok
+
+
+def data_in_support(f: Family, y) -> bool:
+    """``data_support_mask(f, y).all()`` for a finite k x n matrix y.
+
+    The bounds are tested with reductions and integrality in row blocks, so
+    no k x n temporary is built.
+    """
+    arr = np.asarray(y, dtype=float)
+    kind = f.kind
+    if kind in ("normal", "ghs"):
+        return True
+    if kind == "gamma":
+        return bool(arr.min() > 0)
+    if arr.min() < 0 or (kind == "binomial" and arr.max() > f.s):
+        return False
+    step = max(1, _BLOCK_ENTRIES // arr.shape[1])
+    return all(np.array_equal(np.floor(block), block)
+               for block in (arr[i:i + step] for i in range(0, arr.shape[0], step)))
 
 
 def family_to_dict(f: Family) -> dict:

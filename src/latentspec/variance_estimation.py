@@ -20,7 +20,13 @@ from .errors import (
     SupportViolationError,
 )
 from .matrix_core import as_data, gram_scaled, sym_eigen
-from .nef_qvf import Family, data_support_mask, qvf_coefficients, qvf_transform
+from .nef_qvf import (
+    Family,
+    data_in_support,
+    data_support_mask,
+    qvf_coefficients,
+    qvf_transform,
+)
 
 _MAX_REPORTED_VIOLATIONS = 20
 # Families whose in-support data are nonnegative integers, and the bound
@@ -76,9 +82,8 @@ def estimate_dk_qvf(y, f: Family) -> VarianceEstimate:
     neither mean.
     """
     arr = as_data(y).values
-    ok = data_support_mask(f, arr)
-    if not ok.all():
-        bad = np.argwhere(~ok)
+    if not data_in_support(f, arr):
+        bad = np.argwhere(~data_support_mask(f, arr))
         locs = [tuple(int(v) for v in row) for row in bad[:_MAX_REPORTED_VIOLATIONS]]
         raise SupportViolationError(
             f"{bad.shape[0]} entries outside the {f.kind} support, "

@@ -696,6 +696,10 @@ SUBSAMPLE = "subsample {y} {m} --family poisson --k-grid 20 --reps 1"
     pytest.param(3, SUBSAMPLE.replace("{m}", "{m_parallel}")
                  + " --rank fixed:2 --out {tmp}/c.csv",
                  id="subsample-parallel-reference"),
+    pytest.param(2, SUBSAMPLE.replace("--reps 1", "--reps 0")
+                 + " --rank fixed:2 --out {tmp}/c.csv", id="subsample-reps-0"),
+    pytest.param(2, SUBSAMPLE.replace("--reps 1", "--reps -1")
+                 + " --rank fixed:2 --out {tmp}/c.csv", id="subsample-reps-negative"),
 ])
 def test_error_exit_codes(exit_case_files, capsys, code, command):
     argv = [arg.format(**exit_case_files) for arg in command.split()]

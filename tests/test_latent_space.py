@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latentspec.errors import InvalidParameterError, LengthMismatchError
 from latentspec.latent_space import (
@@ -201,6 +203,46 @@ def test_estimate_auto_empty_subspace():
     assert est.is_empty
     assert est.m_hat.shape == (0, 3)
     assert est.rank is not None and est.rank.r_hat == 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_estimate_auto_all_nonpositive_spectrum_is_empty(data):
+    # A correction at or above the largest eigenvalue of Y'Y/k leaves no
+    # positive eigenvalue, whatever the scale coefficient.
+    k = data.draw(st.integers(1, 30))
+    n = data.draw(st.integers(2, 8))
+    y = np.array(data.draw(st.lists(
+        st.floats(-1e3, 1e3), min_size=k * n, max_size=k * n))).reshape(k, n)
+    top = float(np.linalg.eigvalsh(gram_scaled(y))[-1])
+    extra = np.array(data.draw(st.lists(
+        st.floats(0.0, 1e3), min_size=n, max_size=n)))
+    d = 2.0 * top + extra
+    cfg = ScalingConfig(scale_coefficient=data.draw(
+        st.sampled_from(["auto", 1e-9, 1.0, 1e9])))
+    est = estimate_latent_space(y, d, rank="auto", cfg=cfg)
+    assert np.all(est.eigen.eigenvalues <= 0)
+    assert est.is_empty and est.m_hat.shape == (0, n)
+    assert est.rank.r_hat == 0
+
+
+# Far from underflow, so that scaling by 2^j for |j| <= 30 is exact.
+_EIGENVALUE = st.one_of(st.just(0.0), st.floats(1e-6, 1e4), st.floats(-1e2, -1e-6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_estimate_rank_auto_invariant_to_power_of_two_scaling(data):
+    n = data.draw(st.integers(2, 12))
+    vals = np.sort(data.draw(st.lists(
+        _EIGENVALUE, min_size=n, max_size=n)))[::-1]
+    k = data.draw(st.integers(1, 10**6))
+    base = estimate_rank(vals, k)
+    assume(not base.calibration.no_plateau)
+    j = data.draw(st.integers(-30, 30))
+    scaled = estimate_rank(vals * 2.0 ** j, k)
+    assert scaled.r_hat == base.r_hat
+    assert scaled.calibration.plateau_rank == base.calibration.plateau_rank
 
 
 def test_estimate_fixed_rank_validation():

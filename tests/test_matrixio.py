@@ -1,5 +1,6 @@
-"""CSV reader: the int64 parse of integer files against the float64 parse."""
+"""CSV reader: the byte parse of plain integer files against the float64 parse."""
 
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -22,38 +23,43 @@ def float_parse(text: str, skiprows: int = 0) -> np.ndarray:
 
 
 def read_with_parses(path):
-    """read_matrix_csv, plus the dtypes of the loadtxt calls it made."""
+    """read_matrix_csv, plus the parses that ran: "bytes" for a byte parse
+    that gave the result, the dtype of each loadtxt call."""
     tried = []
-    real = matrixio._loadtxt
+    real_plain, real_loadtxt = matrixio._read_plain, matrixio._loadtxt
+
+    def plain(data):
+        out = real_plain(data)
+        if out is not None:
+            tried.append("bytes")
+        return out
 
     def spy(lines, **kwargs):
         tried.append(np.dtype(kwargs.get("dtype", float)).name)
-        return real(lines, **kwargs)
+        return real_loadtxt(lines, **kwargs)
 
-    with mock.patch.object(matrixio, "_loadtxt", spy):
+    with mock.patch.object(matrixio, "_read_plain", plain), \
+            mock.patch.object(matrixio, "_loadtxt", spy):
         return read_matrix_csv(path), tried
 
 
-INT = ["int64"]
-INT_THEN_FLOAT = ["int64", "float64"]
+BYTES = ["bytes"]
 FLOAT = ["float64"]
 
 
 @pytest.mark.parametrize("text, skiprows, tried", [
-    ("1,2\n3,4\n", 0, INT),
-    ('"1", 2\n\t3 ,"  4 "\n+5,007\n', 0, INT),
-    ("g1,g2\n1,2\n3,4\n", 1, INT),
-    # -0 is -0.0 as a float but 0 as an integer: a '-' in a data row skips
-    # the int parse, a '-' in the header does not.
+    ("1,2\n3,4\n", 0, BYTES),
+    ('"1", 2\n\t3 ,"  4 "\n+5,007\n', 0, FLOAT),
+    ("g1,g2\n1,2\n3,4\n", 1, BYTES),
+    # -0 is -0.0 as a float; a sign is never plain.
     ("-0,1\n2,3\n", 0, FLOAT),
-    ("\n  s-1,s-2\n1,2\n3,4\n", 1, INT),
+    ("\n  s-1,s-2\n1,2\n3,4\n", 1, FLOAT),
     ("s-1,s-2\n-0,2\n3,4\n", 1, FLOAT),
-    # Above 2^53 both parsers round to nearest, ties to even.
-    ("9007199254740993,9007199254740995\n1,2\n", 0, INT),
-    ("9223372036854775807,1\n2,3\n", 0, INT),
-    # Beyond int64 the int parse fails and the float parse reads it.
-    ("99999999999999999999,1\n2,3\n", 0, INT_THEN_FLOAT),
-    ("1,2\n3,4\n1.5,6\n", 0, INT_THEN_FLOAT),
+    # From 16 digits on the float parse rounds to nearest, ties to even.
+    ("9007199254740993,9007199254740995\n1,2\n", 0, FLOAT),
+    ("9223372036854775807,1\n2,3\n", 0, FLOAT),
+    ("99999999999999999999,1\n2,3\n", 0, FLOAT),
+    ("1,2\n3,4\n1.5,6\n", 0, FLOAT),
 ], ids=["plain", "quoted-padded", "header", "minus-zero", "header-with-minus",
         "header-and-minus-zero", "above-2^53",
         "int64-max", "beyond-int64", "float-last-row"])
@@ -103,5 +109,81 @@ def test_int_parse_matches_float_parse_property(data):
         path = Path(tmp) / "m.csv"
         path.write_text(text)
         got, parses = read_with_parses(path)
-    assert parses == INT
+    plain = all(re.fullmatch("[0-9]{1,15}", cell)
+                for line in text.splitlines() for cell in line.split(","))
+    assert parses == (BYTES if plain else FLOAT)
     assert got.tobytes() == float_parse(text).tobytes()
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=15)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_byte_parse_bit_equal_to_float_parse_property(data):
+    """Plain files of 1-15 digit cells, leading zeros included, with or
+    without a header, a BOM and the final newline, in blocks of a few bytes
+    so that rows straddle block ends."""
+    rows = data.draw(st.integers(1, 6))
+    cols = data.draw(st.integers(1, 5))
+    cells = data.draw(st.lists(_DIGITS, min_size=rows * cols,
+                               max_size=rows * cols))
+    header = data.draw(st.booleans())
+    text = "\n".join(
+        ",".join(cells[i * cols:(i + 1) * cols]) for i in range(rows))
+    if header:
+        text = ",".join(f"s{j}" for j in range(cols)) + "\n" + text
+    if data.draw(st.booleans()):
+        text += "\n"
+    bom = data.draw(st.booleans())
+    block = data.draw(st.integers(1, 64))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode())
+        with mock.patch.object(matrixio, "_BLOCK_BYTES", block):
+            got, parses = read_with_parses(path)
+    assert parses == BYTES
+    assert got.tobytes() == float_parse(text, int(header)).tobytes()
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1,2\r\n3,4\r\n", [[1, 2], [3, 4]]),
+    ("a,b\r\n1,2\n", [[1, 2]]),
+    # Universal newlines end a row at a lone CR, here inside the first line.
+    ("1,2\r3,4\n5,6\n", [[1, 2], [3, 4], [5, 6]]),
+    ("1,2\n\n3,4\n", [[1, 2], [3, 4]]),
+    ("1,2\n3,4\n\n", [[1, 2], [3, 4]]),
+    ("1,2\n3,4\n \n", [[1, 2], [3, 4]]),
+    ("1234567890123456,2\n3,4\n", [[1234567890123456, 2], [3, 4]]),
+    ("+5,2\n3,4\n", [[5, 2], [3, 4]]),
+    ('"3",2\n3,4\n', [[3, 2], [3, 4]]),
+    ("-0,2\n3,4\n", [[-0.0, 2], [3, 4]]),
+], ids=["crlf", "crlf-header", "cr-first-line", "blank-line",
+        "trailing-blank-line", "trailing-space-line", "16-digits", "plus",
+        "quoted", "minus-zero"])
+def test_fallback_inputs_read_as_float_parse(tmp_path, text, want):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    got, parses = read_with_parses(path)
+    assert parses == FLOAT
+    assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("bad, reason", [
+    ("1,2", "line 25002 has 2 values, line 2 has 3"),
+    ("1,2,3,4", "line 25002 has 4 values, line 2 has 3"),
+    ("1,,3", "line 25002: could not convert string '' to float64 at column 2."),
+    # A space where a comma belongs still gives a row of three separators.
+    ("1 2,3", "line 25002: could not convert string '1 2' to float64 at column 1."),
+], ids=["short-row", "long-row", "empty-cell", "space-for-comma"])
+@pytest.mark.parametrize("block", [matrixio._BLOCK_BYTES, 40],
+                         ids=["default-block", "40-byte-block"])
+def test_bad_row_in_late_block_names_file_line(tmp_path, bad, reason, block):
+    rows = ["1,2,3"] * 30000
+    rows[25000] = bad
+    path = tmp_path / "m.csv"
+    path.write_text("a,b,c\n" + "\n".join(rows) + "\n")
+    with mock.patch.object(matrixio, "_BLOCK_BYTES", block), \
+            pytest.raises(InvalidParameterError) as info:
+        read_matrix_csv(path)
+    assert str(info.value) == f"cannot read {path}: {reason}"

@@ -9,6 +9,8 @@ from latentspec.errors import InvalidParameterError, OutOfSupportError
 from latentspec.nef_qvf import (
     Family,
     binomial,
+    data_in_support,
+    data_support_mask,
     family_to_dict,
     gamma,
     ghs,
@@ -154,3 +156,13 @@ def test_family_serialization_round_trip():
         assert Family(d["family"], d.get("s")) == f
     assert family_to_dict(binomial(20)) == {"family": "binomial", "s": 20}
     assert family_to_dict(poisson()) == {"family": "poisson"}
+
+
+@pytest.mark.parametrize("f", ALL_FAMILIES, ids=lambda f: f.kind)
+@pytest.mark.parametrize("bad", [None, -1.0, -0.0, 0.0, 0.5, 20.5, 21.0, 1e300])
+def test_data_in_support_matches_mask(f, bad):
+    # 30000 x 3 spans two row blocks; the one changed entry is in the last.
+    y = np.random.default_rng(0).integers(1, 20, size=(30000, 3)).astype(float)
+    if bad is not None:
+        y[-2, 1] = bad
+    assert data_in_support(f, y) == data_support_mask(f, y).all()

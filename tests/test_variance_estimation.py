@@ -20,6 +20,7 @@ from latentspec.nef_qvf import (
     qvf_transform,
     v_value,
 )
+from latentspec import variance_estimation
 from latentspec.simulation import ScenarioConfig, generate_scenario
 from latentspec.variance_estimation import (
     dk_error,
@@ -157,6 +158,26 @@ def test_qvf_support_violation_reports_location():
     with pytest.raises(SupportViolationError) as info:
         estimate_dk_qvf(y, poisson())
     assert (1, 1) in info.value.locations
+
+
+def test_qvf_support_violation_text_and_locations():
+    y = np.zeros((30, 4))
+    y[3:28, 2] = 0.5
+    y[29, 0] = -1.0
+    with pytest.raises(SupportViolationError) as info:
+        estimate_dk_qvf(y, poisson())
+    assert str(info.value) == (
+        "26 entries outside the poisson support, first at (row, col) (3, 2)")
+    assert info.value.locations == [(row, 2) for row in range(3, 23)]
+
+
+def test_qvf_builds_no_support_mask_on_in_support_data(monkeypatch):
+    def no_mask(f, y):
+        raise AssertionError("support mask built")
+
+    monkeypatch.setattr(variance_estimation, "data_support_mask", no_mask)
+    for f in FAMILIES:
+        estimate_dk_qvf(family_data(f, np.random.default_rng(2), (50, 4)), f)
 
 
 def test_qvf_support_violation_non_integer():
