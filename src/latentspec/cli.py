@@ -132,21 +132,24 @@ def _config_int(value, name: str) -> int:
         raise CliError(f"config {name} must be an integer, got {value!r}")
 
 
-def _parse_int_list(text: str, name: str) -> list[int]:
+def _parse_int_list(text: str, name: str, lo: int, hi: int) -> list[int]:
+    """Comma-separated integers and inclusive ``a:b`` ranges, each in [lo, hi].
+
+    Both ends of a range are checked before it is expanded.
+    """
     out = []
     for part in text.split(","):
         part = part.strip()
-        if ":" in part:
-            try:
-                lo, hi = (int(v) for v in part.split(":", 1))
-            except ValueError:
-                raise CliError(f"bad {name} entry {part!r}")
-            out.extend(range(lo, hi + 1))
-        elif part:
-            try:
-                out.append(int(part))
-            except ValueError:
-                raise CliError(f"bad {name} entry {part!r}")
+        if not part:
+            continue
+        try:
+            ends = [int(v) for v in part.split(":", 1)]
+        except ValueError:
+            raise CliError(f"bad {name} entry {part!r}")
+        for v in ends:
+            if not lo <= v <= hi:
+                raise CliError(f"{name} value {v} outside [{lo}, {hi}]")
+        out.extend(range(ends[0], ends[-1] + 1))
     if not out:
         raise CliError(f"{name} is empty")
     return out
@@ -389,10 +392,7 @@ def cmd_subsample(args) -> int:
     k_full, n = data.values.shape
     if m.shape[1] != n:
         raise CliError(f"M has {m.shape[1]} columns, data has {n}")
-    k_grid = _parse_int_list(args.k_grid, "--k-grid")
-    for kv in k_grid:
-        if kv < 1 or kv > k_full:
-            raise CliError(f"k={kv} outside [1, {k_full}] available rows")
+    k_grid = _parse_int_list(args.k_grid, "--k-grid", 1, k_full)
     fam = _family_from_args(args)
     if fam is None:
         raise CliError("--family is required")
@@ -425,10 +425,7 @@ def cmd_subsample(args) -> int:
 def cmd_rank_sweep(args) -> int:
     data = _load_data(args.data, args.transpose)
     n = data.values.shape[1]
-    r_grid = _parse_int_list(args.r_grid, "--r-grid")
-    for r in r_grid:
-        if not 1 <= r <= n:
-            raise CliError(f"forced rank {r} outside [1, n={n}]")
+    r_grid = _parse_int_list(args.r_grid, "--r-grid", 1, n)
     fam = _family_from_args(args)
     if fam is None:
         raise CliError("--family is required")

@@ -144,18 +144,14 @@ def default_grid(eigenvalues, k: int, eta: float) -> np.ndarray:
 
     GRID_SIZE values log-spaced between GRID_SPAN[0] and GRID_SPAN[1] times
     the median positive eigenvalue times k^eta.  Empty when no eigenvalue is
-    positive.
+    positive or the lower end of the grid underflows to zero.
     """
     vals = np.asarray(eigenvalues, dtype=float).reshape(-1)
     pos = vals[vals > 0]
-    if pos.size == 0:
+    anchor = float(np.median(pos)) * float(k) ** eta if pos.size else 0.0
+    if not GRID_SPAN[0] * anchor > 0:
         return np.empty(0)
-    anchor = float(np.median(pos)) * float(k) ** eta
     return np.geomspace(GRID_SPAN[0] * anchor, GRID_SPAN[1] * anchor, GRID_SIZE)
-
-
-def _rank_at(eigenvalues: np.ndarray, threshold: float) -> int:
-    return int(np.sum(eigenvalues > threshold))
 
 
 def calibrate_scale(eigenvalues, k: int,
@@ -172,72 +168,54 @@ def calibrate_scale(eigenvalues, k: int,
     runs at the bottom of the grid that already count every positive
     eigenvalue (nothing left to separate).  Among the eligible plateaus the
     geometric midpoint of the longest is chosen, ties going to the run at
-    larger grid values.  With no eligible plateau the coefficient falls
-    back to 1.0 and the trace is flagged.
+    larger grid values.  With no eligible plateau, or an underflowing
+    midpoint, the coefficient falls back to 1.0 and the trace is flagged.
     """
     vals = np.asarray(eigenvalues, dtype=float).reshape(-1)
-    n = vals.shape[0]
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
     grid = default_grid(vals, k, cfg.eta)
+    thresholds = cfg.c_tilde * grid * float(k) ** (-cfg.eta)
+    counts = np.count_nonzero(vals > thresholds[:, None], axis=1)
 
-    decay = float(k) ** (-cfg.eta)
-    counts = np.array(
-        [_rank_at(vals, cfg.c_tilde * g * decay) for g in grid], dtype=int
+    # Maximal runs of equal counts, from starts[i] to stops[i] inclusive.
+    starts = np.flatnonzero(np.diff(counts, prepend=-1))
+    stops = np.append(starts[1:], counts.size) - 1
+    ranks = counts[starts]
+    eligible = (
+        (ranks >= 1) & (ranks < vals.size)
+        & (stops != counts.size - 1)
+        & ~((starts == 0) & (ranks >= np.count_nonzero(vals > 0)))
     )
-    n_positive = _rank_at(vals, 0.0)
-    last = counts.shape[0] - 1
+    lengths = np.where(eligible, stops - starts + 1, 0)
 
-    best = None  # (length, start, stop_inclusive, rank)
-    i = 0
-    while i < counts.shape[0]:
-        j = i
-        while j + 1 < counts.shape[0] and counts[j + 1] == counts[i]:
-            j += 1
-        r = int(counts[i])
-        qualifying = (
-            1 <= r < n
-            and j != last
-            and not (i == 0 and r >= n_positive)
-        )
-        if qualifying:
-            length = j - i + 1
-            if best is None or length >= best[0]:
-                best = (length, i, j, r)
-        i = j + 1
-
-    if best is None:
-        trace = CalibrationTrace(
-            grid=grid, rank_counts=counts, chosen=1.0,
-            plateau_rank=None, plateau_bounds=None, no_plateau=True,
-        )
-        return 1.0, trace
-
-    _, lo, hi, rank = best
-    chosen = float(np.sqrt(grid[lo] * grid[hi]))
+    rank, bounds, chosen = None, None, 1.0
+    if lengths.any():
+        best = lengths.size - 1 - int(np.argmax(lengths[::-1]))
+        lo, hi = grid[starts[best]], grid[stops[best]]
+        if lo * hi > 0:  # else the midpoint underflows
+            rank, bounds = int(ranks[best]), (float(lo), float(hi))
+            chosen = float(np.sqrt(lo * hi))
     trace = CalibrationTrace(
-        grid=grid, rank_counts=counts, chosen=chosen,
-        plateau_rank=rank, plateau_bounds=(float(grid[lo]), float(grid[hi])),
-        no_plateau=False,
+        grid=grid, rank_counts=counts, chosen=chosen, plateau_rank=rank,
+        plateau_bounds=bounds, no_plateau=rank is None,
     )
     return chosen, trace
 
 
-def estimate_rank(eig, k: int, cfg: ScalingConfig | None = None) -> RankEstimate:
+def estimate_rank(eigenvalues, k: int,
+                  cfg: ScalingConfig | None = None) -> RankEstimate:
     """Count eigenvalues whose scaled value exceeds the threshold.
 
-    ``eig`` is a SymmetricEigen or a descending eigenvalue vector.  The
-    scale tau = c_k * k^(-eta) uses the configured coefficient, calibrating
-    it first when set to "auto".  Negative eigenvalues can never be counted.
+    ``eigenvalues`` is a descending eigenvalue vector.  The scale
+    tau = c_k * k^(-eta) uses the configured coefficient, calibrating it
+    first when set to "auto".  Negative eigenvalues can never be counted.
     A count of zero is a legal outcome.
     """
     cfg = cfg if cfg is not None else ScalingConfig()
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
-    vals = (
-        eig.eigenvalues if isinstance(eig, SymmetricEigen)
-        else np.asarray(eig, dtype=float).reshape(-1)
-    )
+    vals = np.asarray(eigenvalues, dtype=float).reshape(-1)
     trace = None
     if isinstance(cfg.scale_coefficient, str):
         coeff, trace = calibrate_scale(vals, k, cfg)
@@ -245,9 +223,8 @@ def estimate_rank(eig, k: int, cfg: ScalingConfig | None = None) -> RankEstimate
         coeff = float(cfg.scale_coefficient)
     tau = coeff * float(k) ** (-cfg.eta)
     scaled = vals / tau
-    r_hat = _rank_at(scaled, cfg.c_tilde)
     return RankEstimate(
-        r_hat=r_hat,
+        r_hat=int(np.count_nonzero(scaled > cfg.c_tilde)),
         scaled_eigenvalues=scaled,
         tau_tilde=tau,
         threshold=cfg.c_tilde,
@@ -279,7 +256,7 @@ def estimate_latent_space(y, d, rank="auto",
     if isinstance(rank, str):
         if rank != "auto":
             raise InvalidParameterError("rank must be 'auto' or an integer")
-        rank_record = estimate_rank(eig, k, cfg)
+        rank_record = estimate_rank(eig.eigenvalues, k, cfg)
         r_hat = rank_record.r_hat
     else:
         fixed = int(rank)

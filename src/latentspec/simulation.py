@@ -19,7 +19,7 @@ from .errors import InvalidParameterError
 from .latent_space import ScalingConfig, estimate_latent_space
 from .matrix_core import DataMatrix
 from .nef_qvf import Family, variance_from_mean
-from .subspace_metrics import subspace_distance
+from .subspace_metrics import RowSpaceBasis, subspace_distance
 from .variance_estimation import dk_error, estimate_dk_qvf
 
 # Observation family of each scenario.
@@ -251,10 +251,11 @@ def _run_one(cfg: ScenarioConfig, rep_index: int) -> RepRecord:
         rank = est.rank
         r_hat = rank.r_hat
 
+        m_true = RowSpaceBasis(draw.m)
         m_fixed = est.eigen.eigenvectors[:, :cfg.r].T
-        d_fixed = subspace_distance(draw.m, m_fixed)
+        d_fixed = subspace_distance(m_true, m_fixed)
         if r_hat >= 1:
-            d_auto = subspace_distance(draw.m, est.m_hat)
+            d_auto = subspace_distance(m_true, est.m_hat)
         else:
             d_auto = float("nan")
 

@@ -114,7 +114,9 @@ def subspace_distance(m, m_hat) -> float:
     -------
     float
         Zero iff the row spaces coincide (for equal row counts); invariant
-        under row-space-preserving changes of basis on either side.
+        under rotations of the estimate's rows.  The first term compares the
+        reference rows themselves with their projection onto the estimate,
+        so the reference's scale matters unless the spans coincide.
     """
     bm = as_basis(m)
     bh = as_basis(m_hat)

@@ -649,6 +649,14 @@ def test_rank_sweep_noiseless_rank_one(tmp_path):
     assert read_matrix_csv(out)[0, 1] <= 1e-6
 
 
+@pytest.mark.parametrize("text, bad", [("1:3000000", 3000000), ("0:2", 0),
+                                       ("2,9", 9)])
+def test_parse_int_list_checks_bounds_before_expanding(text, bad):
+    assert cli._parse_int_list("1:3, 5", "--r-grid", 1, 5) == [1, 2, 3, 5]
+    with pytest.raises(cli.CliError, match=f"--r-grid value {bad} outside"):
+        cli._parse_int_list(text, "--r-grid", 1, 5)
+
+
 # ------------------------------------------------------------------- exit codes
 
 @pytest.fixture

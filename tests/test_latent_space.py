@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from latentspec.errors import InvalidParameterError, LengthMismatchError
 from latentspec.latent_space import (
+    CalibrationTrace,
     ScalingConfig,
     adjusted_gram,
     calibrate_scale,
@@ -125,15 +126,72 @@ def test_calibrate_scale_all_nonpositive_falls_back():
     assert trace.no_plateau and chosen == 1.0
 
 
-def test_calibrate_scale_trace_matches_direct_scan():
-    # Oracle: recompute the rank at every grid value directly.
-    rng = np.random.default_rng(2)
-    vals = np.sort(rng.uniform(0.0, 50.0, size=10))[::-1]
-    cfg = ScalingConfig(eta=0.5)
-    chosen, trace = calibrate_scale(vals, k=2000, cfg=cfg)
-    decay = 2000.0 ** (-0.5)
-    expect = [int(np.sum(vals > g * decay)) for g in trace.grid]
-    assert list(trace.rank_counts) == expect
+def _loop_calibrate_scale(vals, k, cfg):
+    """Reference: the plateau scan as one rank count per grid value and a
+    run-by-run search, the form the array scan replaced."""
+    grid = default_grid(vals, k, cfg.eta)
+    decay = float(k) ** (-cfg.eta)
+    counts = np.array(
+        [int(np.sum(vals > cfg.c_tilde * g * decay)) for g in grid], dtype=int
+    )
+    n_positive = int(np.sum(vals > 0.0))
+    last = counts.shape[0] - 1
+    best = None  # (length, start, stop_inclusive, rank)
+    i = 0
+    while i < counts.shape[0]:
+        j = i
+        while j + 1 < counts.shape[0] and counts[j + 1] == counts[i]:
+            j += 1
+        r = int(counts[i])
+        if 1 <= r < vals.shape[0] and j != last and not (
+                i == 0 and r >= n_positive):
+            if best is None or j - i + 1 >= best[0]:
+                best = (j - i + 1, i, j, r)
+        i = j + 1
+    if best is None:
+        return 1.0, CalibrationTrace(
+            grid=grid, rank_counts=counts, chosen=1.0,
+            plateau_rank=None, plateau_bounds=None, no_plateau=True,
+        )
+    _, lo, hi, rank = best
+    chosen = float(np.sqrt(grid[lo] * grid[hi]))
+    return chosen, CalibrationTrace(
+        grid=grid, rank_counts=counts, chosen=chosen, plateau_rank=rank,
+        plateau_bounds=(float(grid[lo]), float(grid[hi])), no_plateau=False,
+    )
+
+
+# Ties, zeros, negatives and magnitudes from 1e-9 to 1e9.
+_SPECTRUM_VALUE = st.one_of(
+    st.just(0.0), st.sampled_from([-1.0, 0.5, 1.0, 2.0]),
+    st.floats(1e-9, 1e9), st.floats(-1e9, -1e-9),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_calibrate_scale_trace_matches_direct_scan(data):
+    n = data.draw(st.integers(1, 15))
+    vals = np.sort(data.draw(st.lists(
+        _SPECTRUM_VALUE, min_size=n, max_size=n)))[::-1]
+    k = data.draw(st.integers(1, 10**7))
+    cfg = ScalingConfig(
+        c_tilde=data.draw(st.floats(0.1, 10.0)),
+        eta=data.draw(st.sampled_from([1.0 / 3.0, 0.5, 1.0])),
+    )
+    chosen, trace = calibrate_scale(vals, k, cfg)
+    ref_chosen, ref_trace = _loop_calibrate_scale(vals, k, cfg)
+    assert chosen.hex() == ref_chosen.hex()
+    assert trace.to_dict() == ref_trace.to_dict()
+
+
+@pytest.mark.parametrize("vals, k", [([0.0, 5e-324], 1),
+                                     ([1e-300, 1e-310], 1000)])
+def test_estimate_rank_auto_near_underflow_falls_back(vals, k):
+    # The grid's lower end, or the chosen midpoint, underflows to zero.
+    est = estimate_rank(np.array(vals), k)
+    assert est.calibration.no_plateau and est.scale_coefficient == 1.0
+    assert np.all(np.isfinite(est.scaled_eigenvalues))
 
 
 def test_default_grid_shape_and_anchor():

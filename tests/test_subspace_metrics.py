@@ -110,6 +110,15 @@ def test_distance_scale_invariance_same_span():
         assert abs(d1 - d2) <= 1e-10
 
 
+def test_distance_depends_on_reference_scale_across_spans():
+    # Unrelated spans: the first term grows with the reference rows.
+    rng = np.random.default_rng(0)
+    m = rng.normal(size=(3, 9))
+    m_hat = orthonormal_rows(rng.normal(size=(9, 4)).T)
+    assert subspace_distance(m, m_hat) == pytest.approx(0.414, abs=5e-4)
+    assert subspace_distance(2.0 * m, m_hat) == pytest.approx(0.698, abs=5e-4)
+
+
 def test_distance_zero_implies_projectors_match():
     rng = np.random.default_rng(6)
     m = rng.normal(size=(4, 10))
