@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -32,8 +33,14 @@ from .errors import (
     SupportViolationError,
 )
 from .latent_space import ETA_DEFAULT, ScalingConfig, estimate_latent_space
-from .matrix_core import DataMatrix
-from .matrixio import format_value, read_matrix_csv, read_vector_csv, write_matrix_csv
+from .matrix_core import DataMatrix, Moments, data_moments
+from .matrixio import (
+    format_value,
+    read_matrix_csv,
+    read_moments_csv,
+    read_vector_csv,
+    write_matrix_csv,
+)
 from .nef_qvf import FAMILY_KINDS, Family, family_to_dict
 from .simulation import (
     RNG_ALGORITHM,
@@ -43,9 +50,11 @@ from .simulation import (
 )
 from .subspace_metrics import subspace_distance
 from .variance_estimation import (
+    VarianceEstimate,
     estimate_dk_leek,
     estimate_dk_qvf,
     explicit,
+    needs_column_sums,
 )
 
 EXIT_PARSE = 2
@@ -73,6 +82,33 @@ def _load_data(path, transpose=False) -> DataMatrix:
         return DataMatrix(arr.T if transpose else arr)
     except InvalidParameterError as exc:
         raise CliError(f"{path}: {exc}")
+
+
+def _load_moments(path, transpose: bool, fam: Family | None) -> Moments:
+    """The data file's Moments, with the column sums ``fam`` reads.
+
+    A plain file is reduced as it is parsed; any other file, a transposed
+    one, or one whose counts are too large for exact sums is read whole.
+    """
+    if not transpose:
+        try:
+            moments = read_moments_csv(path)
+        except InvalidParameterError as exc:
+            raise CliError(f"{path}: {exc}")
+        if moments is not None:
+            return moments
+    sums = fam is not None and needs_column_sums(fam)
+    return data_moments(_load_data(path, transpose), sums)
+
+
+def _qvf_correction(moments: Moments, fam: Family, load) -> VarianceEstimate:
+    """estimate_dk_qvf on the Moments; a support violation is raised again
+    from the matrix that ``load()`` returns, which names its positions."""
+    try:
+        return estimate_dk_qvf(moments, fam)
+    except SupportViolationError:
+        estimate_dk_qvf(load(), fam)
+        raise
 
 
 def _write_table(path, header, rows) -> None:
@@ -155,7 +191,7 @@ def _parse_int_list(text: str, name: str, lo: int, hi: int) -> list[int]:
     return out
 
 
-def _variance_estimate(args, data) -> tuple:
+def _variance_estimate(args, moments: Moments, fam: Family | None) -> VarianceEstimate:
     """Build the diagonal correction from the mutually exclusive flags."""
     chosen = [
         args.family is not None,
@@ -166,18 +202,18 @@ def _variance_estimate(args, data) -> tuple:
         raise CliError(
             "exactly one of --family, --leek, --dk-file is required"
         )
-    if args.family is not None:
-        fam = _family_from_args(args)
-        return estimate_dk_qvf(data, fam), fam
+    if fam is not None:
+        load = functools.partial(_load_data, args.data, args.transpose)
+        return _qvf_correction(moments, fam, load)
     if args.leek is not None:
-        return estimate_dk_leek(data, args.leek), None
+        return estimate_dk_leek(moments, args.leek)
     deltas = read_vector_csv(args.dk_file)
-    n = data.values.shape[1]
+    n = moments.n
     if deltas.shape[0] != n:
         raise CliError(
             f"--dk-file length {deltas.shape[0]} != column count {n}"
         )
-    return explicit(deltas), None
+    return explicit(deltas)
 
 
 def _rank_record(est, dk) -> dict:
@@ -208,18 +244,19 @@ def _rank_record(est, dk) -> dict:
 
 
 def cmd_estimate(args) -> int:
-    data = _load_data(args.data, args.transpose)
-    k, n = data.values.shape
+    fam = _family_from_args(args)
+    moments = _load_moments(args.data, args.transpose, fam)
+    k, n = moments.k, moments.n
     if k <= n:
         print(
             f"warning: {k} rows <= {n} columns; more rows than columns "
             "is recommended",
             file=sys.stderr,
         )
-    dk, fam = _variance_estimate(args, data)
+    dk = _variance_estimate(args, moments, fam)
     rank = _parse_rank(args.rank)
     cfg = _scaling_from_args(args)
-    est = estimate_latent_space(data, dk, rank=rank, cfg=cfg)
+    est = estimate_latent_space(moments, dk, rank=rank, cfg=cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -399,6 +436,7 @@ def cmd_subsample(args) -> int:
     rank = _parse_rank(args.rank)
     cfg = _scaling_from_args(args)
 
+    sums = needs_column_sums(fam)
     rows = []
     for ki, kv in enumerate(k_grid):
         dists = []
@@ -406,8 +444,9 @@ def cmd_subsample(args) -> int:
             rng = rep_rng(args.seed, ki * args.reps + rep)
             idx = np.sort(rng.choice(k_full, size=kv, replace=False))
             sub = DataMatrix(data.values[idx, :])
-            dk = estimate_dk_qvf(sub, fam)
-            est = estimate_latent_space(sub, dk, rank=rank, cfg=cfg)
+            moments = data_moments(sub, sums)
+            dk = _qvf_correction(moments, fam, lambda: sub)
+            est = estimate_latent_space(moments, dk, rank=rank, cfg=cfg)
             if est.is_empty:
                 dists.append(float("nan"))
             else:
@@ -423,18 +462,19 @@ def cmd_subsample(args) -> int:
 
 
 def cmd_rank_sweep(args) -> int:
-    data = _load_data(args.data, args.transpose)
-    n = data.values.shape[1]
-    r_grid = _parse_int_list(args.r_grid, "--r-grid", 1, n)
     fam = _family_from_args(args)
     if fam is None:
         raise CliError("--family is required")
+    moments = _load_moments(args.data, args.transpose, fam)
+    n = moments.n
+    r_grid = _parse_int_list(args.r_grid, "--r-grid", 1, n)
     m = read_matrix_csv(args.m) if args.m else None
     if m is not None and m.shape[1] != n:
         raise CliError(f"M has {m.shape[1]} columns, data has {n}")
 
-    dk = estimate_dk_qvf(data, fam)
-    eig = estimate_latent_space(data, dk, rank=n).eigen
+    load = functools.partial(_load_data, args.data, args.transpose)
+    dk = _qvf_correction(moments, fam, load)
+    eig = estimate_latent_space(moments, dk, rank=n).eigen
 
     rows = []
     for r in r_grid:

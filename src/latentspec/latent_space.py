@@ -9,12 +9,13 @@ supplied or calibrated from a plateau scan over a candidate grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError, LengthMismatchError
-from .matrix_core import SymmetricEigen, as_data, gram_scaled, sym_eigen
+from .matrix_core import SymmetricEigen, as_moments, sym_eigen
 from .variance_estimation import VarianceEstimate
 
 ETA_DEFAULT = 1.0 / 3.0
@@ -29,6 +30,14 @@ class ScalingConfig:
 
     ``scale_coefficient`` is either a positive number used as-is or the
     string "auto", which triggers plateau calibration on the eigenvalues.
+
+    Under "auto", eta has no effect beyond rounding: ``default_grid``
+    anchors the candidate coefficients at median * k^eta, and each
+    threshold multiplies its coefficient by k^(-eta), so eta cancels and
+    the scan runs on c_tilde * geomspace(1e-3, 1e3) * median whatever eta
+    is.  That is why acceptance criterion 4, which asks the rank to change
+    with eta under "auto", is red by construction.  With a numeric
+    coefficient, eta sets the threshold c_tilde * c_k * k^(-eta).
     """
 
     c_tilde: float = 1.0
@@ -125,16 +134,19 @@ class SubspaceEstimate:
 
 
 def adjusted_gram(y, d) -> np.ndarray:
-    """Scaled gram of the data minus the diagonal variance correction."""
-    data = as_data(y)
-    n = data.values.shape[1]
+    """Scaled gram of the data minus the diagonal variance correction.
+
+    ``y`` is a data matrix or its Moments.
+    """
+    m = as_moments(y)
+    n = m.n
     deltas = d.deltas if isinstance(d, VarianceEstimate) else np.asarray(d, float)
     deltas = deltas.reshape(-1)
     if deltas.shape[0] != n:
         raise LengthMismatchError(
             f"correction length {deltas.shape[0]} != column count {n}"
         )
-    g = gram_scaled(data)
+    g = m.scaled_gram()
     g[np.diag_indices_from(g)] -= deltas
     return g
 
@@ -144,12 +156,13 @@ def default_grid(eigenvalues, k: int, eta: float) -> np.ndarray:
 
     GRID_SIZE values log-spaced between GRID_SPAN[0] and GRID_SPAN[1] times
     the median positive eigenvalue times k^eta.  Empty when no eigenvalue is
-    positive or the lower end of the grid underflows to zero.
+    positive, the lower end of the grid underflows to zero or the upper end
+    overflows.
     """
     vals = np.asarray(eigenvalues, dtype=float).reshape(-1)
     pos = vals[vals > 0]
     anchor = float(np.median(pos)) * float(k) ** eta if pos.size else 0.0
-    if not GRID_SPAN[0] * anchor > 0:
+    if not (GRID_SPAN[0] * anchor > 0 and math.isfinite(GRID_SPAN[1] * anchor)):
         return np.empty(0)
     return np.geomspace(GRID_SPAN[0] * anchor, GRID_SPAN[1] * anchor, GRID_SIZE)
 
@@ -168,8 +181,9 @@ def calibrate_scale(eigenvalues, k: int,
     runs at the bottom of the grid that already count every positive
     eigenvalue (nothing left to separate).  Among the eligible plateaus the
     geometric midpoint of the longest is chosen, ties going to the run at
-    larger grid values.  With no eligible plateau, or an underflowing
-    midpoint, the coefficient falls back to 1.0 and the trace is flagged.
+    larger grid values.  With no eligible plateau, or a midpoint that
+    underflows or scales an eigenvalue beyond the float range, the
+    coefficient falls back to 1.0 and the trace is flagged.
     """
     vals = np.asarray(eigenvalues, dtype=float).reshape(-1)
     if k < 1:
@@ -193,9 +207,15 @@ def calibrate_scale(eigenvalues, k: int,
     if lengths.any():
         best = lengths.size - 1 - int(np.argmax(lengths[::-1]))
         lo, hi = grid[starts[best]], grid[stops[best]]
-        if lo * hi > 0:  # else the midpoint underflows
+        mid = np.sqrt(lo * hi)
+        # The midpoint may underflow (tau = 0) or scale the top eigenvalue
+        # past the float range; either way estimate_rank's scaled
+        # eigenvalues would not be finite.
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(vals / (mid * float(k) ** (-cfg.eta))).all()
+        if finite:
             rank, bounds = int(ranks[best]), (float(lo), float(hi))
-            chosen = float(np.sqrt(lo * hi))
+            chosen = float(mid)
     trace = CalibrationTrace(
         grid=grid, rank_counts=counts, chosen=chosen, plateau_rank=rank,
         plateau_bounds=bounds, no_plateau=rank is None,
@@ -241,14 +261,15 @@ def estimate_latent_space(y, d, rank="auto",
 
     Pipeline: adjusted gram -> eigendecomposition -> rank (automatic via
     ``cfg`` or a fixed integer) -> leading eigenvectors as the rows of the
-    estimate.  Deterministic given identical inputs.
+    estimate.  ``y`` is a data matrix or its Moments.  Deterministic given
+    identical inputs.
 
     An automatic rank of zero yields the distinct empty-subspace result
     (zero-row basis) rather than an error.
     """
-    data = as_data(y)
-    k, n = data.values.shape
-    g = adjusted_gram(data, d)
+    m = as_moments(y)
+    k, n = m.k, m.n
+    g = adjusted_gram(m, d)
     eig = sym_eigen(g)
 
     rank_record = None

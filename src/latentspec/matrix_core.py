@@ -1,6 +1,7 @@
 """Dense real matrix primitives used by the whole pipeline.
 
-Provides the Frobenius norm, the scaled gram matrix of a data matrix, and a
+Provides the Frobenius norm, the second moments of a data matrix (its gram,
+column sums and range, the only statistics the estimators read), and a
 symmetric eigendecomposition (LAPACK ``eigh`` with the eigenvectors' sign
 and order made canonical).  All computation is in 64-bit floating point and
 everything downstream reduces to n x n problems, so no large decompositions
@@ -9,6 +10,7 @@ are ever needed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,11 @@ from .errors import (
 )
 
 SYMMETRY_TOL = 1e-10
+# Below this bound integers and their sums are exact in float64.
+EXACT_SUM_BOUND = 2 ** 53
+# is_integral tests row blocks of about this many entries, so that
+# np.floor's temporary stays in cache.
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _as_2d_float(a, name="matrix"):
@@ -43,11 +50,15 @@ class DataMatrix:
 
     def __post_init__(self):
         arr = _as_2d_float(self.values, "data matrix")
-        if arr.shape[0] < 1 or arr.shape[1] < 2:
-            raise InvalidParameterError(
-                f"data matrix must be at least 1 x 2, got {arr.shape}"
-            )
+        _check_data_shape(*arr.shape)
         object.__setattr__(self, "values", arr)
+
+
+def _check_data_shape(k: int, n: int) -> None:
+    if k < 1 or n < 2:
+        raise InvalidParameterError(
+            f"data matrix must be at least 1 x 2, got {(k, n)}"
+        )
 
 
 def as_data(y) -> DataMatrix:
@@ -71,18 +82,94 @@ def frobenius_norm(a) -> float:
     return float(np.sqrt(np.sum(arr * arr)))
 
 
+@dataclass(frozen=True)
+class Moments:
+    """The sufficient statistics of a k x n data matrix Y.
+
+    ``gram`` is the unscaled Y^T Y.  ``colsum`` and ``colsumsq`` are the
+    column sums of y and y*y, ``ymin`` and ``ymax`` the smallest and
+    largest entry, and ``integral`` tells whether every entry is a whole
+    number.  Every estimator reads the data only through these, so a file
+    can be reduced to them without holding the matrix.  Moments made
+    without column sums hold None in those five fields: the normal family,
+    the pooled variance and an explicit correction read only the gram.
+    """
+
+    gram: np.ndarray
+    colsum: np.ndarray | None
+    colsumsq: np.ndarray | None
+    k: int
+    ymin: float | None
+    ymax: float | None
+    integral: bool | None
+
+    def __post_init__(self):
+        _check_data_shape(self.k, self.gram.shape[0])
+
+    @property
+    def n(self) -> int:
+        return self.gram.shape[0]
+
+    def scaled_gram(self) -> np.ndarray:
+        """(Y^T Y) / k with its upper triangle mirrored, exactly symmetric.
+
+        The single division by k comes after accumulation, which keeps the
+        sums well scaled.
+        """
+        g = np.triu(self.gram) + np.triu(self.gram, 1).T
+        return g / float(self.k)
+
+
+def is_integral(arr: np.ndarray) -> bool:
+    """True when every entry of the 2-D array is a whole number.
+
+    Tested on the first row, then in row blocks, so no k x n temporary is
+    built and real-valued data are mostly settled by their first row.
+    """
+    step = max(1, _BLOCK_ENTRIES // arr.shape[1])
+    blocks = itertools.chain(
+        [arr[:1]], (arr[i:i + step] for i in range(1, arr.shape[0], step)))
+    return all(np.array_equal(np.floor(block), block) for block in blocks)
+
+
+def data_moments(y, sums: bool = True) -> Moments:
+    """The Moments of a data matrix, with column sums when ``sums`` is set.
+
+    Nonnegative whole numbers with k * max(y)^2 < 2^53 have exact partial
+    sums in any order, so their columns are summed as they stand and the
+    sums of y*y are the gram's diagonal.  Other data are summed over sorted
+    columns, which fixes the order and so makes the sums invariant under
+    row permutations.
+    """
+    arr = as_data(y).values
+    k = arr.shape[0]
+    gram = arr.T @ arr
+    if not sums:
+        return Moments(gram, None, None, k, None, None, None)
+    ymin, ymax = float(arr.min()), float(arr.max())
+    integral = is_integral(arr)
+    if integral and ymin >= 0 and k * int(ymax) ** 2 < EXACT_SUM_BOUND:
+        colsum, colsumsq = arr.sum(axis=0), np.diag(gram).copy()
+    else:
+        cols = np.sort(arr, axis=0)
+        colsum = cols.sum(axis=0)
+        # Squared in place: the sort is the only k x n temporary.
+        colsumsq = np.square(cols, out=cols).sum(axis=0)
+    return Moments(gram, colsum, colsumsq, k, ymin, ymax, integral)
+
+
+def as_moments(y) -> Moments:
+    """Return Moments as they are, or the Moments (without sums) of a matrix."""
+    return y if isinstance(y, Moments) else data_moments(y, sums=False)
+
+
 def gram_scaled(y) -> np.ndarray:
     """Return the n x n matrix (Y^T Y) / k for a k x n data matrix Y.
 
     The upper triangle is computed and mirrored so the result is exactly
-    symmetric bit-for-bit.  The single division by k happens after
-    accumulation to keep intermediate sums well-scaled.
+    symmetric bit-for-bit.
     """
-    arr = as_data(y).values
-    k = arr.shape[0]
-    g = arr.T @ arr
-    g = np.triu(g) + np.triu(g, 1).T
-    return g / float(k)
+    return as_moments(y).scaled_gram()
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ optional byte order mark and header row, with 1 to 15 digits in every cell
 and an optional final newline, is parsed straight from its bytes, in blocks
 of whole rows.  Its cells are integers below 2^53, exact in float64, so the
 result has the same bits as the float parse that reads every other file.
+``read_moments_csv`` reduces a plain file to its Moments block by block,
+without holding the matrix.
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParameterError
+from .matrix_core import EXACT_SUM_BOUND, Moments
 
 FLOAT_FORMAT = "%.17e"
 
 # Plain files are parsed in blocks of whole rows of at least this many
 # bytes.  Per-call overhead grows below it and cache misses above it: on a
-# 100000 x 20 count file, 64 KiB was fastest of block sizes 4 KiB-16 MiB.
+# 100000 x 20 count file, reduced to its Moments through one reused block
+# buffer, 64 KiB and 128 KiB tied and 32 KiB and 256 KiB were slower.
 _BLOCK_BYTES = 1 << 16
 # Integers of up to 15 digits are below 2^53, so exact in float64.
 _MAX_DIGITS = 15
@@ -98,15 +102,16 @@ def _line_end(data: bytes, start: int) -> int:
     return len(data) if end < 0 else end
 
 
-def _read_plain(data: bytes) -> np.ndarray | None:
-    """The matrix of a plain file, or None when the file is not plain.
+class _NotPlain(Exception):
+    """A block of the file is not plain."""
 
-    A plain file holds only the bytes 0-9, ',' and '\\n' after an optional
-    byte order mark and an optional header row; every cell has 1 to 15
-    digits and the last newline may be missing.  Such cells are integers
-    below 2^53, exact in float64, so the float parse gives the same bits.
-    Anything else (blank lines, empty cells, CR, quotes, padding, signs,
-    decimals, 16 or more digits, ragged rows) returns None.
+
+def _plain_layout(data: bytes) -> tuple[int, int] | None:
+    """(offset of the first data row, cells per row) of a plain file.
+
+    None when the head of the file rules out a plain file: undecodable
+    bytes or a CR in the first line, or no data row.  The rows themselves
+    are checked by ``_plain_blocks``.
     """
     start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     first = _line_end(data, start)
@@ -121,11 +126,25 @@ def _read_plain(data: bytes) -> np.ndarray | None:
         first = _line_end(data, start)
     if start >= len(data):
         return None
-    n = data.count(b",", start, first) + 1
+    return start, data.count(b",", start, first) + 1
+
+
+def _plain_blocks(data: bytes, start: int, n: int):
+    """Yield the rows of a plain file from ``start`` on, in (rows, n) blocks.
+
+    A plain file holds only the bytes 0-9, ',' and '\\n' after an optional
+    byte order mark and an optional header row; every cell has 1 to 15
+    digits and the last newline may be missing.  Such cells are integers
+    below 2^53, exact in float64, so the float parse gives the same bits.
+    Anything else (blank lines, empty cells, CR, quotes, padding, signs,
+    decimals, 16 or more digits, ragged rows) raises _NotPlain.
+
+    Every block is parsed into one buffer, so a block is valid only until
+    the next one is yielded.
+    """
     buf = np.frombuffer(data, np.uint8)[start:]
-    k = int(np.count_nonzero(buf == ord("\n")) + (buf[-1] != ord("\n")))
-    out = np.empty((k, n))
-    pos = done = 0
+    vals = np.empty(0)
+    pos = 0
     while pos < buf.size:
         end = data.find(b"\n", start + pos + _BLOCK_BYTES - 1) - start
         if end < 0:
@@ -133,18 +152,69 @@ def _read_plain(data: bytes) -> np.ndarray | None:
         block = buf[pos:end + 1]
         if block[-1] != ord("\n"):
             block = np.append(block, np.uint8(ord("\n")))
-        rows = _parse_block(block, n, out[done:].reshape(-1))
+        # Every cell takes at least a digit and a separator.
+        if vals.size < block.size // 2:
+            vals = np.empty(block.size // 2)
+        rows = _parse_block(block, n, vals)
         if rows is None:
-            return None
-        pos, done = end + 1, done + rows
+            raise _NotPlain
+        yield vals[:rows * n].reshape(rows, n)
+        pos = end + 1
+
+
+def _read_plain(data: bytes) -> np.ndarray | None:
+    """The matrix of a plain file, or None when the file is not plain."""
+    layout = _plain_layout(data)
+    if layout is None:
+        return None
+    start, n = layout
+    out = np.empty((data.count(b"\n", start) + (data[-1:] != b"\n"), n))
+    done = 0
+    try:
+        for block in _plain_blocks(data, start, n):
+            out[done:done + block.shape[0]] = block
+            done += block.shape[0]
+    except _NotPlain:
+        return None
     return out
+
+
+def read_moments_csv(path) -> Moments | None:
+    """The Moments of a plain file, reduced block by block as it is parsed.
+
+    The k x n matrix is never held: each block adds its gram, column sums
+    and range to running totals.  Plain cells are nonnegative integers, so
+    while k * max(y)^2 < 2^53 every partial sum is an integer below 2^53,
+    exact in float64, and the totals have the bits of the whole-matrix
+    ones whatever the block split.  None when the file is not plain or its
+    counts break that bound; ``read_matrix_csv`` then reads the matrix.
+    """
+    data = Path(path).read_bytes()
+    layout = _plain_layout(data)
+    if layout is None:
+        return None
+    start, n = layout
+    gram, colsum = np.zeros((n, n)), np.zeros(n)
+    k, ymin, ymax = 0, np.inf, 0.0
+    try:
+        for block in _plain_blocks(data, start, n):
+            gram += block.T @ block
+            colsum += np.ones(block.shape[0]) @ block
+            k += block.shape[0]
+            ymin, ymax = min(ymin, block.min()), max(ymax, block.max())
+            if k * int(ymax) ** 2 >= EXACT_SUM_BOUND:
+                return None
+    except _NotPlain:
+        return None
+    return Moments(gram, colsum, np.diag(gram).copy(), k, float(ymin),
+                   float(ymax), integral=True)
 
 
 def _parse_block(b: np.ndarray, n: int, out: np.ndarray) -> int | None:
     """Parse whole rows of n cells into the front of the flat array out.
 
-    b ends with a newline.  Returns the number of rows, or None when the
-    block is not plain.
+    b ends with a newline and out has room for every cell.  Returns the
+    number of rows, or None when the block is not plain.
     """
     sep = np.flatnonzero(b < ord("0"))
     rows = np.count_nonzero(b == ord("\n"))

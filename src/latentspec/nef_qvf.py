@@ -20,9 +20,6 @@ from .errors import InvalidParameterError, OutOfSupportError
 
 FAMILY_KINDS = ("normal", "poisson", "binomial", "negbin", "gamma", "ghs")
 _NEEDS_S = frozenset({"binomial", "negbin", "gamma", "ghs"})
-# data_in_support tests integrality in row blocks of about this many
-# entries, so that np.floor's temporary stays in cache.
-_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -122,18 +119,6 @@ def qvf_transform(c: QvfCoefficients, y, y2):
     return out / (1.0 + c.b2)
 
 
-def v_value(f: Family, y):
-    """Per-observation transform with E[v(y)] equal to the variance of y.
-
-    Accepts scalars or arrays (applied elementwise).
-    """
-    y = np.asarray(y, dtype=float)
-    out = qvf_transform(qvf_coefficients(f), y, y * y)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def _check_mean_region(f: Family, theta: np.ndarray) -> None:
     s = f.s
     kind = f.kind
@@ -177,23 +162,20 @@ def data_support_mask(f: Family, y) -> np.ndarray:
     return ok
 
 
-def data_in_support(f: Family, y) -> bool:
-    """``data_support_mask(f, y).all()`` for a finite k x n matrix y.
+def data_in_support(f: Family, ymin: float | None, ymax: float | None,
+                    integral: bool | None) -> bool:
+    """``data_support_mask(f, y).all()`` for finite data y, from its range.
 
-    The bounds are tested with reductions and integrality in row blocks, so
-    no k x n temporary is built.
+    ``ymin`` and ``ymax`` are the smallest and largest entry of y, and
+    ``integral`` tells whether every entry is a whole number.  The normal
+    and GHS families accept any finite data and read none of them.
     """
-    arr = np.asarray(y, dtype=float)
     kind = f.kind
     if kind in ("normal", "ghs"):
         return True
     if kind == "gamma":
-        return bool(arr.min() > 0)
-    if arr.min() < 0 or (kind == "binomial" and arr.max() > f.s):
-        return False
-    step = max(1, _BLOCK_ENTRIES // arr.shape[1])
-    return all(np.array_equal(np.floor(block), block)
-               for block in (arr[i:i + step] for i in range(0, arr.shape[0], step)))
+        return ymin > 0
+    return ymin >= 0 and integral and (kind != "binomial" or ymax <= f.s)
 
 
 def family_to_dict(f: Family) -> dict:

@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .latent_space import ScalingConfig, estimate_latent_space
-from .matrix_core import DataMatrix
+from .matrix_core import DataMatrix, data_moments
 from .nef_qvf import Family, variance_from_mean
 from .subspace_metrics import RowSpaceBasis, subspace_distance
-from .variance_estimation import dk_error, estimate_dk_qvf
+from .variance_estimation import dk_error, estimate_dk_qvf, needs_column_sums
 
 # Observation family of each scenario.
 SCENARIO_FAMILIES = {
@@ -243,11 +243,11 @@ class ReplicationStats:
 def _run_one(cfg: ScenarioConfig, rep_index: int) -> RepRecord:
     try:
         draw = generate_scenario(cfg, rep_index)
-        y = draw.y
-        dk = estimate_dk_qvf(y, draw.family)
+        moments = data_moments(draw.y, needs_column_sums(draw.family))
+        dk = estimate_dk_qvf(moments, draw.family)
         rho = dk_error(dk, draw.true_deltas)
 
-        est = estimate_latent_space(y, dk, rank="auto", cfg=cfg.scaling)
+        est = estimate_latent_space(moments, dk, rank="auto", cfg=cfg.scaling)
         rank = est.rank
         r_hat = rank.r_hat
 

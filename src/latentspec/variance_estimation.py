@@ -19,7 +19,7 @@ from .errors import (
     LengthMismatchError,
     SupportViolationError,
 )
-from .matrix_core import as_data, gram_scaled, sym_eigen
+from .matrix_core import Moments, as_data, as_moments, data_moments, sym_eigen
 from .nef_qvf import (
     Family,
     data_in_support,
@@ -29,10 +29,6 @@ from .nef_qvf import (
 )
 
 _MAX_REPORTED_VIOLATIONS = 20
-# Families whose in-support data are nonnegative integers, and the bound
-# below which sums of such integers are exact in float64.
-_COUNT_KINDS = frozenset({"poisson", "binomial", "negbin"})
-_EXACT_SUM_BOUND = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -64,46 +60,47 @@ def explicit(deltas) -> VarianceEstimate:
     return VarianceEstimate(np.asarray(deltas, dtype=float), method="explicit")
 
 
+def needs_column_sums(f: Family) -> bool:
+    """Whether the family's correction reads the column sums of y or y*y."""
+    c = qvf_coefficients(f)
+    return bool(c.b1 or c.b2)
+
+
 def estimate_dk_qvf(y, f: Family) -> VarianceEstimate:
     """Column averages of v(y), one per sample column.
 
-    Raises SupportViolationError (listing offending positions) if any entry
-    is outside the family support; no silent clamping is done because a
-    negative variance estimate always indicates a wrong family choice.
+    ``y`` is a data matrix or its Moments.  Raises SupportViolationError if
+    any entry is outside the family support; no silent clamping is done
+    because a negative variance estimate always indicates a wrong family
+    choice.  The error lists the offending positions when ``y`` is a
+    matrix; Moments hold no positions.
 
-    v is quadratic, so the average is taken from the column means of y and
-    y*y, and the result is exactly invariant under row permutations of the
-    input.  Count data (poisson, binomial, negbin) that passed the support
-    check are nonnegative integers; when also k * max(y)^2 < 2^53, every
-    partial sum of y and of y*y is an integer below 2^53, hence exact in
-    float64 in any order, and the columns are summed as they stand.  Other
-    data (gamma, GHS, larger counts) are summed over sorted columns, which
-    fixes the order.  The normal family's v is the constant 1 and needs
-    neither mean.
+    v is quadratic, so the average is taken from the column sums of y and
+    y*y, which ``data_moments`` makes invariant under row permutations.
+    The normal family's v is the constant 1 and needs neither sum.
     """
-    arr = as_data(y).values
-    if not data_in_support(f, arr):
-        bad = np.argwhere(~data_support_mask(f, arr))
+    data = None if isinstance(y, Moments) else as_data(y)
+    sums = needs_column_sums(f)
+    m = y if data is None else data_moments(data, sums)
+    if sums and m.colsum is None:
+        raise InvalidParameterError(
+            f"the {f.kind} correction needs the column sums")
+    if not data_in_support(f, m.ymin, m.ymax, m.integral):
+        message = f"entries outside the {f.kind} support"
+        if data is None:
+            raise SupportViolationError(message)
+        bad = np.argwhere(~data_support_mask(f, data.values))
         locs = [tuple(int(v) for v in row) for row in bad[:_MAX_REPORTED_VIOLATIONS]]
         raise SupportViolationError(
-            f"{bad.shape[0]} entries outside the {f.kind} support, "
-            f"first at (row, col) {locs[0]}",
+            f"{bad.shape[0]} {message}, first at (row, col) {locs[0]}",
             locations=locs,
         )
-    k = float(arr.shape[0])
-    c = qvf_coefficients(f)
+    k = float(m.k)
     # With b1 = b2 = 0 only the shape of mean_y is read.
-    mean_y, mean_y2 = np.zeros(arr.shape[1]), None
-    counts = f.kind in _COUNT_KINDS
-    if counts and arr.shape[0] * int(arr.max()) ** 2 < _EXACT_SUM_BOUND:
-        mean_y = arr.sum(axis=0) / k
-        mean_y2 = np.einsum("ij,ij->j", arr, arr) / k if c.b2 else None
-    elif c.b1 or c.b2:
-        cols = np.sort(arr, axis=0)
-        mean_y = cols.sum(axis=0) / k
-        # Squared in place: the sort is the only k x n temporary.
-        mean_y2 = np.square(cols, out=cols).sum(axis=0) / k if c.b2 else None
-    deltas = qvf_transform(c, mean_y, mean_y2)
+    mean_y, mean_y2 = np.zeros(m.n), None
+    if sums:
+        mean_y, mean_y2 = m.colsum / k, m.colsumsq / k
+    deltas = qvf_transform(qvf_coefficients(f), mean_y, mean_y2)
     return VarianceEstimate(
         deltas,
         method=f"qvf:{f.kind}",
@@ -118,15 +115,16 @@ def estimate_dk_leek(y, t: int) -> VarianceEstimate:
     squared singular values of Y over k), the pooled estimate is
     sigma^2 = (sum of l_j for j = t..n) / (n - t), and every diagonal entry
     is set to it.  Meaningful use needs t larger than the true rank.
+    ``y`` is a data matrix or its Moments.
     """
-    data = as_data(y)
-    n = data.values.shape[1]
+    m = as_moments(y)
+    n = m.n
     t = int(t)
     if t < 1 or t > n:
         raise InvalidParameterError(f"t must be in [1, n={n}], got {t}")
     if t == n:
         raise DegenerateTailError("t = n leaves an empty residual sum")
-    lam = np.clip(sym_eigen(gram_scaled(data)).eigenvalues, 0.0, None)
+    lam = np.clip(sym_eigen(m.scaled_gram()).eigenvalues, 0.0, None)
     sigma2 = float(np.sum(lam[t - 1:])) / (n - t)
     return VarianceEstimate(
         np.full(n, sigma2), method=f"leek:t={t}"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import latentspec
-from latentspec import cli
+from latentspec import cli, matrixio
 from latentspec.cli import build_parser, main
 from latentspec.errors import (
     LatentSpecError,
@@ -323,6 +323,194 @@ def test_estimate_transpose(tmp_path):
     ma = read_matrix_csv(tmp_path / "oa" / "m_hat.csv")
     mb = read_matrix_csv(tmp_path / "ob" / "m_hat.csv")
     assert np.array_equal(ma, mb)
+
+
+# ------------------------------------------------------- streamed plain files
+
+ESTIMATE_FILES = ("m_hat.csv", "eigenvalues.csv", "rank.json")
+FAMILY_FLAGS = {
+    "normal": ["--family", "normal"],
+    "poisson": ["--family", "poisson"],
+    "binomial": ["--family", "binomial", "--s", "20"],
+    "negbin": ["--family", "negbin", "--s", "10"],
+    "gamma": ["--family", "gamma", "--s", "10"],
+    "ghs": ["--family", "ghs", "--s", "2"],
+}
+
+
+def plain_text(y, header=False, final_newline=True) -> str:
+    rows = [",".join(str(int(v)) for v in row) for row in y]
+    if header:
+        rows.insert(0, ",".join(f"s{j}" for j in range(y.shape[1])))
+    return "\n".join(rows) + "\n" * final_newline
+
+
+@pytest.fixture
+def counts(tmp_path):
+    """Rank-2 counts in 1..20, inside every family's support, written as a
+    plain file and as the float parse's scientific notation."""
+    rng = np.random.default_rng(11)
+    theta = rng.uniform(0.2, 0.8, size=(300, 2)) @ rng.uniform(0.3, 0.6, size=(2, 5))
+    y = np.maximum(rng.binomial(20, theta), 1).astype(float)
+    plain = tmp_path / "plain.csv"
+    plain.write_text(plain_text(y))
+    other = tmp_path / "other.csv"
+    write_matrix_csv(other, y)
+    return y, plain, other
+
+
+def run_cli(argv, out_dir, files=ESTIMATE_FILES):
+    """Exit code and output bytes of one command writing into out_dir."""
+    rc = main([*argv, "--out", str(out_dir)])
+    return rc, {name: (out_dir / name).read_bytes() if (out_dir / name).exists()
+                else None for name in files}
+
+
+@pytest.fixture
+def whole_reads(monkeypatch):
+    """Paths read through the whole-matrix path, in call order."""
+    paths = []
+    real = cli._load_data
+
+    def spy(path, transpose=False):
+        paths.append(Path(path).name)
+        return real(path, transpose)
+
+    monkeypatch.setattr(cli, "_load_data", spy)
+    return paths
+
+
+@pytest.mark.parametrize("layout", ["plain", "bom-header-no-final-newline"])
+@pytest.mark.parametrize("kind", list(FAMILY_FLAGS))
+def test_streamed_estimate_bit_equal_to_whole_matrix(
+        counts, tmp_path, monkeypatch, whole_reads, kind, layout):
+    y, plain, other = counts
+    if layout != "plain":
+        plain.write_bytes(b"\xef\xbb\xbf"
+                          + plain_text(y, header=True, final_newline=False).encode())
+    monkeypatch.setattr(matrixio, "_BLOCK_BYTES", 1)  # one row per block
+    flags = ["--rank", "auto", *FAMILY_FLAGS[kind]]
+    got = run_cli(["estimate", str(plain), *flags], tmp_path / "a")
+    assert whole_reads == []
+    want = run_cli(["estimate", str(other), *flags], tmp_path / "b")
+    assert whole_reads == ["other.csv"]
+    assert got == want and got[0] in (0, 4)
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "{data}", "--leek", "3"],
+    ["estimate", "{data}", "--dk-file", "{dk}", "--rank", "fixed:2"],
+], ids=["leek", "dk-file"])
+def test_streamed_leek_and_dk_file_bit_equal(counts, tmp_path, monkeypatch,
+                                             whole_reads, argv):
+    _, plain, other = counts
+    dk = tmp_path / "dk.csv"
+    write_matrix_csv(dk, np.full(5, 2.5))
+    monkeypatch.setattr(matrixio, "_BLOCK_BYTES", 1)
+    runs = [run_cli([a.format(data=data, dk=dk) for a in argv], tmp_path / name)
+            for name, data in (("a", plain), ("b", other))]
+    assert whole_reads == ["other.csv"]
+    assert runs[0] == runs[1] and runs[0][0] in (0, 4)
+
+
+def test_streamed_equals_transposed_whole_matrix(counts, tmp_path, whole_reads):
+    y, plain, _ = counts
+    flipped = tmp_path / "flipped.csv"
+    flipped.write_text(plain_text(y.T))
+    flags = ["--family", "poisson", "--rank", "auto"]
+    got = run_cli(["estimate", str(plain), *flags], tmp_path / "a")
+    want = run_cli(["estimate", str(flipped), "--transpose", *flags], tmp_path / "b")
+    assert whole_reads == ["flipped.csv"]
+    assert got == want and got[0] == 0
+
+
+def test_streamed_rank_sweep_bit_equal(counts, tmp_path, whole_reads):
+    _, plain, other = counts
+    tables = []
+    for data in (plain, other):
+        out = tmp_path / f"sweep_{data.stem}.csv"
+        assert main(["rank-sweep", str(data), "--family", "binomial", "--s", "20",
+                     "--r-grid", "1:5", "--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert whole_reads == ["other.csv"]
+    assert tables[0] == tables[1]
+
+
+def test_counts_beyond_exact_sums_fall_back_to_whole_matrix(counts, tmp_path,
+                                                            whole_reads):
+    # 300 * (10^14)^2 >= 2^53: the streamed sums could round, so the plain
+    # file is read whole and summed as any other file.
+    y, plain, other = counts
+    y[7, 3] = 1e14
+    plain.write_text(plain_text(y))
+    write_matrix_csv(other, y)
+    flags = ["--family", "poisson", "--rank", "fixed:2"]
+    got = run_cli(["estimate", str(plain), *flags], tmp_path / "a")
+    want = run_cli(["estimate", str(other), *flags], tmp_path / "b")
+    assert whole_reads == ["plain.csv", "other.csv"]
+    assert got == want and got[0] == 0
+
+
+@pytest.mark.parametrize("kind, row, col, value", [
+    ("binomial", 4, 2, 21), ("binomial", 299, 0, 25), ("gamma", 17, 1, 0),
+])
+def test_streamed_support_violation_names_positions(counts, tmp_path, capsys,
+                                                    whole_reads, kind, row, col,
+                                                    value):
+    y, plain, other = counts
+    y[row, col] = value
+    plain.write_text(plain_text(y))
+    write_matrix_csv(other, y)
+    errors = []
+    for data in (plain, other):
+        rc = main(["estimate", str(data), *FAMILY_FLAGS[kind],
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+        errors.append(capsys.readouterr().err)
+    # The streamed Moments hold no positions; the file is read again whole.
+    assert whole_reads.count("plain.csv") == 1
+    assert errors[0] == errors[1] == (
+        f"error: 1 entries outside the {kind} support, "
+        f"first at (row, col) ({row}, {col})\n")
+
+
+def test_streamed_one_column_file_exits_2(tmp_path, capsys):
+    errors = []
+    for name, text in (("plain.csv", "1\n2\n3\n"), ("other.csv", "1.0\n2.0\n3.0\n")):
+        data = tmp_path / name
+        data.write_text(text)
+        assert main(["estimate", str(data), "--family", "poisson",
+                     "--out", str(tmp_path / "out")]) == 2
+        errors.append(capsys.readouterr().err.replace(str(data), "DATA"))
+    assert errors[0] == errors[1] == (
+        "error: DATA: data matrix must be at least 1 x 2, got (3, 1)\n")
+
+
+@pytest.mark.parametrize("name", ["plain", "other"])
+def test_leek_estimate_builds_one_gram(counts, tmp_path, monkeypatch, name):
+    # Each Moments holds the one gram that the pooled variance and the
+    # adjusted gram both read; two eigensolves stay.
+    from latentspec import latent_space, matrix_core, variance_estimation
+
+    built, solved = [], []
+    real_init = matrix_core.Moments.__init__
+    real_eigen = matrix_core.sym_eigen
+
+    def init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    def eigen(a):
+        solved.append(1)
+        return real_eigen(a)
+
+    monkeypatch.setattr(matrix_core.Moments, "__init__", init)
+    monkeypatch.setattr(latent_space, "sym_eigen", eigen)
+    monkeypatch.setattr(variance_estimation, "sym_eigen", eigen)
+    data = counts[1] if name == "plain" else counts[2]
+    rc = main(["estimate", str(data), "--leek", "3", "--out", str(tmp_path / "o")])
+    assert rc in (0, 4)
+    assert (len(built), len(solved)) == (1, 2)
 
 
 # -------------------------------------------------------------------- distance

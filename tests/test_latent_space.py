@@ -194,6 +194,18 @@ def test_estimate_rank_auto_near_underflow_falls_back(vals, k):
     assert np.all(np.isfinite(est.scaled_eigenvalues))
 
 
+@pytest.mark.parametrize("vals, k, r_hat", [([1e306, 1e306, 1.0], 10**6, 3),
+                                            ([1e300, 1e-150, 1e-160], 10, 1)])
+def test_estimate_rank_auto_near_overflow_falls_back(vals, k, r_hat):
+    # The grid's upper end overflows, or the plateau midpoint would scale
+    # the top eigenvalue to inf; either takes the fallback, without a
+    # RuntimeWarning (pyproject.toml makes one an error).
+    est = estimate_rank(np.array(vals), k)
+    assert est.calibration.no_plateau and est.scale_coefficient == 1.0
+    assert np.all(np.isfinite(est.scaled_eigenvalues))
+    assert est.r_hat == r_hat
+
+
 def test_default_grid_shape_and_anchor():
     vals = np.array([8.0, 2.0, 0.5, -0.1])
     grid = default_grid(vals, k=1000, eta=1.0 / 3.0)

@@ -1,4 +1,5 @@
-"""CSV reader: the byte parse of plain integer files against the float64 parse."""
+"""CSV reader: the byte parse of plain integer files against the float64 parse,
+and the streamed Moments of plain files against the whole matrix's."""
 
 import re
 import tempfile
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from latentspec import matrixio
 from latentspec.errors import InvalidParameterError
+from latentspec.matrix_core import data_moments
 from latentspec.matrixio import read_matrix_csv
 
 
@@ -187,3 +189,74 @@ def test_bad_row_in_late_block_names_file_line(tmp_path, bad, reason, block):
             pytest.raises(InvalidParameterError) as info:
         read_matrix_csv(path)
     assert str(info.value) == f"cannot read {path}: {reason}"
+
+
+def assert_moments_equal(got, want):
+    for name in ("gram", "colsum", "colsumsq"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.k, got.ymin, got.ymax, got.integral) == \
+        (want.k, want.ymin, want.ymax, want.integral)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_streamed_moments_bit_equal_to_whole_matrix_property(data):
+    """read_moments_csv against data_moments of the parsed matrix, in blocks
+    of a few bytes, with or without a header, a BOM and the final newline;
+    None exactly when k * max(y)^2 reaches 2^53."""
+    rows = data.draw(st.integers(1, 6))
+    cols = data.draw(st.integers(1, 5))
+    digits = st.one_of(st.text("0123456789", min_size=1, max_size=4), _DIGITS)
+    cells = data.draw(st.lists(digits, min_size=rows * cols,
+                               max_size=rows * cols))
+    text = "\n".join(
+        ",".join(cells[i * cols:(i + 1) * cols]) for i in range(rows))
+    if data.draw(st.booleans()):
+        text = ",".join(f"s{j}" for j in range(cols)) + "\n" + text
+    if data.draw(st.booleans()):
+        text += "\n"
+    bom = data.draw(st.booleans())
+    block = data.draw(st.integers(1, 64))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode())
+        with mock.patch.object(matrixio, "_BLOCK_BYTES", block):
+            y = read_matrix_csv(path)
+            exact = rows * int(y.max()) ** 2 < 2**53
+            if exact and cols < 2:
+                with pytest.raises(InvalidParameterError, match="at least 1 x 2"):
+                    matrixio.read_moments_csv(path)
+                return
+            got = matrixio.read_moments_csv(path)
+    if exact:
+        assert_moments_equal(got, data_moments(y))
+    else:
+        assert got is None
+
+
+@pytest.mark.parametrize("text", [
+    "1,2\n3,4.5\n", "1,2\r\n3,4\r\n", "1, 2\n3,4\n", "-1,2\n3,4\n", "a,b\n",
+    "", "1,2\n\n3,4\n",
+], ids=["decimal", "crlf", "padded", "sign", "header-only", "empty", "blank-line"])
+def test_streamed_moments_none_for_non_plain(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    assert matrixio.read_moments_csv(path) is None
+
+
+def test_streamed_moments_stop_once_bound_breaks(tmp_path):
+    # The cell in the second row breaks k * max(y)^2 < 2^53; the walk ends
+    # there instead of parsing the rest.
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n100000000,3\n" + "4,5\n" * 1000)
+    parsed = []
+    real = matrixio._parse_block
+
+    def spy(b, n, out):
+        parsed.append(1)
+        return real(b, n, out)
+
+    with mock.patch.object(matrixio, "_BLOCK_BYTES", 1), \
+            mock.patch.object(matrixio, "_parse_block", spy):
+        assert matrixio.read_moments_csv(path) is None
+    assert len(parsed) == 2

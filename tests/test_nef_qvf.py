@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from family_helpers import v_value
 
 from latentspec.errors import InvalidParameterError, OutOfSupportError
+from latentspec.matrix_core import is_integral
 from latentspec.nef_qvf import (
     Family,
     binomial,
@@ -18,7 +20,6 @@ from latentspec.nef_qvf import (
     normal,
     poisson,
     qvf_coefficients,
-    v_value,
     variance_from_mean,
 )
 
@@ -165,4 +166,5 @@ def test_data_in_support_matches_mask(f, bad):
     y = np.random.default_rng(0).integers(1, 20, size=(30000, 3)).astype(float)
     if bad is not None:
         y[-2, 1] = bad
-    assert data_in_support(f, y) == data_support_mask(f, y).all()
+    in_support = data_in_support(f, y.min(), y.max(), is_integral(y))
+    assert in_support == data_support_mask(f, y).all()

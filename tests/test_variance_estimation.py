@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from family_helpers import v_value
 
 from latentspec.errors import (
     DegenerateTailError,
@@ -18,9 +19,9 @@ from latentspec.nef_qvf import (
     poisson,
     qvf_coefficients,
     qvf_transform,
-    v_value,
 )
 from latentspec import variance_estimation
+from latentspec.matrix_core import data_moments
 from latentspec.simulation import ScenarioConfig, generate_scenario
 from latentspec.variance_estimation import (
     dk_error,
@@ -178,6 +179,24 @@ def test_qvf_builds_no_support_mask_on_in_support_data(monkeypatch):
     monkeypatch.setattr(variance_estimation, "data_support_mask", no_mask)
     for f in FAMILIES:
         estimate_dk_qvf(family_data(f, np.random.default_rng(2), (50, 4)), f)
+
+
+def test_qvf_reads_moments_and_needs_their_sums():
+    y = family_data(poisson(), np.random.default_rng(5), (40, 3))
+    want = estimate_dk_qvf(y, poisson()).deltas
+    assert estimate_dk_qvf(data_moments(y), poisson()).deltas.tobytes() == want.tobytes()
+    gram_only = data_moments(y, sums=False)
+    assert np.array_equal(estimate_dk_qvf(gram_only, normal()).deltas, np.ones(3))
+    with pytest.raises(InvalidParameterError, match="needs the column sums"):
+        estimate_dk_qvf(gram_only, poisson())
+
+
+def test_qvf_support_violation_from_moments_has_no_positions():
+    y = np.array([[1.0, 2.0], [3.0, 21.0]])
+    with pytest.raises(SupportViolationError) as info:
+        estimate_dk_qvf(data_moments(y), binomial(20))
+    assert str(info.value) == "entries outside the binomial support"
+    assert info.value.locations == []
 
 
 def test_qvf_support_violation_non_integer():
