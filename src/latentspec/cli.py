@@ -17,7 +17,6 @@ import argparse
 import csv
 import functools
 import json
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -33,7 +32,7 @@ from .errors import (
     SupportViolationError,
 )
 from .latent_space import ETA_DEFAULT, ScalingConfig, estimate_latent_space
-from .matrix_core import DataMatrix, Moments, data_moments
+from .matrix_core import DataMatrix, Moments, cpu_count, data_moments
 from .matrixio import (
     format_value,
     read_matrix_csv,
@@ -72,7 +71,11 @@ class CliError(Exception):
 
 
 def _resolve_threads(value) -> int:
-    return max(1, value if value is not None else os.cpu_count() or 1)
+    if value is None:
+        return cpu_count()
+    if value < 1:
+        raise CliError(f"--threads must be at least 1, got {value}")
+    return value
 
 
 def _load_data(path, transpose=False) -> DataMatrix:
@@ -295,6 +298,7 @@ def _config_cells(cfg: dict) -> list[dict]:
 
 
 def cmd_simulate(args) -> int:
+    threads = _resolve_threads(args.threads)
     try:
         cfg = json.loads(Path(args.config).read_text())
     except ValueError as exc:  # bad JSON or bytes
@@ -333,7 +337,6 @@ def cmd_simulate(args) -> int:
                     f"reps<={MAX_REPS_DEFAULT}); pass --full to run it"
                 )
 
-    threads = _resolve_threads(args.threads)
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
 
@@ -525,21 +528,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transpose", action="store_true",
                    help="input is samples x variables; transpose it")
     p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("simulate", help="run seeded replication batches")
     p.add_argument("config", help="JSON config file")
     p.add_argument("--full", action="store_true",
                    help="lift the desk-scale size guardrails")
     p.add_argument("--threads", type=int, default=None)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("distance", help="distance between two row-space bases")
     p.add_argument("m", help="reference basis CSV")
     p.add_argument("m_hat", help="estimated basis CSV (orthonormal rows)")
     p.add_argument("--normalize-m", action="store_true",
                    help="rescale reference rows to unit norm first")
-    p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("subsample",
                        help="distance-vs-rows convergence curve by row subsampling")
@@ -554,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scaling_flags(p)
     p.add_argument("--transpose", action="store_true")
     p.add_argument("--out", default="curve.csv")
-    p.set_defaults(func=cmd_subsample)
 
     p = sub.add_parser("rank-sweep",
                        help="distance versus forced rank, one estimate per rank")
@@ -565,15 +564,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", default=None, help="reference basis CSV (optional)")
     p.add_argument("--transpose", action="store_true")
     p.add_argument("--out", default="rank_sweep.csv")
-    p.set_defaults(func=cmd_rank_sweep)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up at call time, not bound into the cached parser, so that a
+    # rebound cmd_* function is the one that runs.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (SupportViolationError, OutOfSupportError, RankDeficientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SUPPORT

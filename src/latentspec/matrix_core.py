@@ -11,6 +11,7 @@ are ever needed.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,14 @@ EXACT_SUM_BOUND = 2 ** 53
 # is_integral tests row blocks of about this many entries, so that
 # np.floor's temporary stays in cache.
 _BLOCK_ENTRIES = 1 << 16
+
+
+def cpu_count() -> int:
+    """The CPUs this process may run on: the default number of workers."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
 def _as_2d_float(a, name="matrix"):

@@ -13,8 +13,10 @@ optional byte order mark and header row, with 1 to 15 digits in every cell
 and an optional final newline, is parsed straight from its bytes, in blocks
 of whole rows.  Its cells are integers below 2^53, exact in float64, so the
 result has the same bits as the float parse that reads every other file.
-``read_moments_csv`` reduces a plain file to its Moments block by block,
-without holding the matrix.
+``read_moments_csv`` reduces a plain file to its Moments without holding
+the matrix: it cuts the rows into one range per CPU, reduces each range
+block by block on its own thread and adds the partial sums.  They are
+exact integers, so the Moments do not depend on the split.
 """
 
 from __future__ import annotations
@@ -23,20 +25,27 @@ import codecs
 import functools
 import io
 import re
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .matrix_core import EXACT_SUM_BOUND, Moments
+from .matrix_core import EXACT_SUM_BOUND, Moments, cpu_count
 
 FLOAT_FORMAT = "%.17e"
 
 # Plain files are parsed in blocks of whole rows of at least this many
-# bytes.  Per-call overhead grows below it and cache misses above it: on a
-# 100000 x 20 count file, reduced to its Moments through one reused block
-# buffer, 64 KiB and 128 KiB tied and 32 KiB and 256 KiB were slower.
-_BLOCK_BYTES = 1 << 16
+# bytes.  Every block costs a fixed run of numpy calls whose Python side
+# holds the GIL; only the passes over the block's bytes release it.  On a
+# 100000 x 20 count file (6.6 MB, 2-core host, median of 75 reductions) one
+# thread took 45, 46, 48 and 59 ms with blocks of 64, 128, 256 and 512 KiB,
+# and two threads 50, 39, 37 and 37 ms: small blocks keep the second thread
+# waiting on the GIL, large ones miss the cache.
+_BLOCK_BYTES = 1 << 18
+# read_moments_csv gives each thread a row range of at least this many
+# bytes, so a smaller file is reduced on the calling thread alone.
+_RANGE_MIN_BYTES = 4 * _BLOCK_BYTES
 # Integers of up to 15 digits are below 2^53, so exact in float64.
 _MAX_DIGITS = 15
 
@@ -129,8 +138,9 @@ def _plain_layout(data: bytes) -> tuple[int, int] | None:
     return start, data.count(b",", start, first) + 1
 
 
-def _plain_blocks(data: bytes, start: int, n: int):
-    """Yield the rows of a plain file from ``start`` on, in (rows, n) blocks.
+def _plain_blocks(data: bytes, start: int, stop: int, n: int):
+    """Yield the rows of ``data[start:stop]``, whole rows of a plain file,
+    in (rows, n) blocks.
 
     A plain file holds only the bytes 0-9, ',' and '\\n' after an optional
     byte order mark and an optional header row; every cell has 1 to 15
@@ -142,11 +152,11 @@ def _plain_blocks(data: bytes, start: int, n: int):
     Every block is parsed into one buffer, so a block is valid only until
     the next one is yielded.
     """
-    buf = np.frombuffer(data, np.uint8)[start:]
+    buf = np.frombuffer(data, np.uint8)[start:stop]
     vals = np.empty(0)
     pos = 0
     while pos < buf.size:
-        end = data.find(b"\n", start + pos + _BLOCK_BYTES - 1) - start
+        end = data.find(b"\n", start + pos + _BLOCK_BYTES - 1, stop) - start
         if end < 0:
             end = buf.size - 1
         block = buf[pos:end + 1]
@@ -171,7 +181,7 @@ def _read_plain(data: bytes) -> np.ndarray | None:
     out = np.empty((data.count(b"\n", start) + (data[-1:] != b"\n"), n))
     done = 0
     try:
-        for block in _plain_blocks(data, start, n):
+        for block in _plain_blocks(data, start, len(data), n):
             out[done:done + block.shape[0]] = block
             done += block.shape[0]
     except _NotPlain:
@@ -179,25 +189,16 @@ def _read_plain(data: bytes) -> np.ndarray | None:
     return out
 
 
-def read_moments_csv(path) -> Moments | None:
-    """The Moments of a plain file, reduced block by block as it is parsed.
+def _reduce_rows(data: bytes, start: int, stop: int, n: int):
+    """(gram, colsum, rows, ymin, ymax) of the plain rows in data[start:stop].
 
-    The k x n matrix is never held: each block adds its gram, column sums
-    and range to running totals.  Plain cells are nonnegative integers, so
-    while k * max(y)^2 < 2^53 every partial sum is an integer below 2^53,
-    exact in float64, and the totals have the bits of the whole-matrix
-    ones whatever the block split.  None when the file is not plain or its
-    counts break that bound; ``read_matrix_csv`` then reads the matrix.
+    None when a block is not plain or the range's own running totals break
+    k * max(y)^2 < 2^53.  An empty range gives zeros.
     """
-    data = Path(path).read_bytes()
-    layout = _plain_layout(data)
-    if layout is None:
-        return None
-    start, n = layout
     gram, colsum = np.zeros((n, n)), np.zeros(n)
     k, ymin, ymax = 0, np.inf, 0.0
     try:
-        for block in _plain_blocks(data, start, n):
+        for block in _plain_blocks(data, start, stop, n):
             gram += block.T @ block
             colsum += np.ones(block.shape[0]) @ block
             k += block.shape[0]
@@ -206,8 +207,66 @@ def read_moments_csv(path) -> Moments | None:
                 return None
     except _NotPlain:
         return None
+    return gram, colsum, k, ymin, ymax
+
+
+def _row_cuts(data: bytes, start: int, parts: int) -> list[int]:
+    """Offsets [start, ..., len(data)] that cut data[start:] into at most
+    ``parts`` row ranges of about equal size, each cut just after a newline."""
+    size = len(data) - start
+    cuts = [start]
+    for i in range(1, parts):
+        cut = data.find(b"\n", start + size * i // parts) + 1
+        if cuts[-1] < cut < len(data):
+            cuts.append(cut)
+    cuts.append(len(data))
+    return cuts
+
+
+def _reduce_ranges(data: bytes, n: int, cuts: list[int]) -> Moments | None:
+    """The Moments of the rows between consecutive ``cuts``, one range per
+    thread, added together; None when a range is not plain or the totals
+    break the exact-sum bound."""
+    if len(cuts) == 2:
+        partials = [_reduce_rows(data, cuts[0], cuts[1], n)]
+    else:
+        with ThreadPoolExecutor(len(cuts) - 1) as pool:
+            futures = [pool.submit(_reduce_rows, data, a, b, n)
+                       for a, b in zip(cuts, cuts[1:])]
+        partials = [f.result() for f in futures]
+    if any(p is None for p in partials):
+        return None
+    gram, colsum, k, ymin, ymax = partials[0]
+    for g, c, rows, lo, hi in partials[1:]:
+        gram += g
+        colsum += c
+        k, ymin, ymax = k + rows, min(ymin, lo), max(ymax, hi)
+    if k * int(ymax) ** 2 >= EXACT_SUM_BOUND:
+        return None
     return Moments(gram, colsum, np.diag(gram).copy(), k, float(ymin),
                    float(ymax), integral=True)
+
+
+def read_moments_csv(path) -> Moments | None:
+    """The Moments of a plain file, reduced range by range as it is parsed.
+
+    The k x n matrix is never held.  The rows are cut into one contiguous
+    range per CPU, but into no range under ``_RANGE_MIN_BYTES``, and each
+    range is reduced on its own thread, block by block, to its gram,
+    column sums and range.  Plain cells are nonnegative
+    integers, so while k * max(y)^2 < 2^53 every partial sum is an integer
+    below 2^53, exact in float64, and the totals have the bits of the
+    whole-matrix ones whatever the split.  None when the file is not plain
+    or its counts break that bound; ``read_matrix_csv`` then reads the
+    matrix.
+    """
+    data = Path(path).read_bytes()
+    layout = _plain_layout(data)
+    if layout is None:
+        return None
+    start, n = layout
+    parts = min(cpu_count(), (len(data) - start) // _RANGE_MIN_BYTES)
+    return _reduce_ranges(data, n, _row_cuts(data, start, parts))
 
 
 def _parse_block(b: np.ndarray, n: int, out: np.ndarray) -> int | None:

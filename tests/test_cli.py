@@ -513,6 +513,47 @@ def test_leek_estimate_builds_one_gram(counts, tmp_path, monkeypatch, name):
     assert (len(built), len(solved)) == (1, 2)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """Worker counts of the thread pools that matrixio starts."""
+    sizes = []
+    real = matrixio.ThreadPoolExecutor
+
+    def spy(workers):
+        sizes.append(workers)
+        return real(workers)
+
+    monkeypatch.setattr(matrixio, "ThreadPoolExecutor", spy)
+    return sizes
+
+
+def test_estimate_bit_equal_on_one_and_three_cpus(tmp_path, monkeypatch, pools):
+    # Over 3 ranges of the default minimum, so three CPUs give three ranges.
+    rng = np.random.default_rng(12)
+    theta = rng.uniform(1, 3, size=(110_000, 2)) @ rng.uniform(0.2, 1, size=(2, 16))
+    y = rng.poisson(theta)
+    data = tmp_path / "tall.csv"
+    data.write_text(plain_text(y))
+    assert data.stat().st_size >= 3 * matrixio._RANGE_MIN_BYTES
+    runs = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(matrixio, "cpu_count", lambda: cpus)
+        runs.append(run_cli(["estimate", str(data), "--family", "poisson",
+                             "--rank", "auto"], tmp_path / f"cpus{cpus}"))
+    assert pools == [3]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
+def test_file_below_range_minimum_starts_no_pool(counts, tmp_path, monkeypatch,
+                                                 pools):
+    _, plain, _ = counts
+    assert plain.stat().st_size < 2 * matrixio._RANGE_MIN_BYTES
+    monkeypatch.setattr(matrixio, "cpu_count", lambda: 4)
+    assert main(["estimate", str(plain), "--family", "poisson",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert pools == []
+
+
 # -------------------------------------------------------------------- distance
 
 def test_distance_identical(tmp_path, capsys):
@@ -868,6 +909,9 @@ def exit_case_files(tmp_path):
               "output_dir": str(tmp_path / "file" / "sim")}
     (tmp_path / "config.json").write_text(json.dumps(config))
     paths["config"] = str(tmp_path / "config.json")
+    config["output_dir"] = str(tmp_path / "sim")
+    (tmp_path / "config_ok.json").write_text(json.dumps(config))
+    paths["config_ok"] = str(tmp_path / "config_ok.json")
     return paths
 
 
@@ -887,6 +931,9 @@ SUBSAMPLE = "subsample {y} {m} --family poisson --k-grid 20 --reps 1"
     pytest.param(2, "estimate {y} --family poisson --out {file}/sub",
                  id="estimate-out-under-file"),
     pytest.param(2, "simulate {config}", id="simulate-output-dir-under-file"),
+    pytest.param(2, "simulate {config_ok} --threads 0", id="simulate-threads-0"),
+    pytest.param(2, "simulate {config_ok} --threads -3",
+                 id="simulate-threads-negative"),
     pytest.param(2, SUBSAMPLE + " --rank fixed:2 --out {file}/c.csv",
                  id="subsample-out-under-file"),
     pytest.param(3, SUBSAMPLE.replace("{m}", "{m_parallel}")

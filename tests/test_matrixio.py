@@ -260,3 +260,105 @@ def test_streamed_moments_stop_once_bound_breaks(tmp_path):
             mock.patch.object(matrixio, "_parse_block", spy):
         assert matrixio.read_moments_csv(path) is None
     assert len(parsed) == 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_split_moments_bit_equal_to_one_range_property(data):
+    """The Moments of 1-4 row ranges, reduced on threads and added, against
+    one range and against the whole matrix; cuts may fall right after the
+    header (an empty first range), at the last row, or at the end."""
+    rows = data.draw(st.integers(1, 8))
+    cols = data.draw(st.integers(2, 5))
+    # Cells of up to 4 digits keep every sum exact; up to 15 mostly not.
+    width = data.draw(st.sampled_from([4, 4, 15]))
+    cells = data.draw(st.lists(st.text("0123456789", min_size=1, max_size=width),
+                               min_size=rows * cols, max_size=rows * cols))
+    text = "\n".join(
+        ",".join(cells[i * cols:(i + 1) * cols]) for i in range(rows))
+    if data.draw(st.booleans()):
+        text = ",".join(f"s{j}" for j in range(cols)) + "\n" + text
+    if data.draw(st.booleans()):
+        text += "\n"
+    raw = b"\xef\xbb\xbf" * data.draw(st.booleans()) + text.encode()
+    start, n = matrixio._plain_layout(raw)
+    row_starts = [start] + [i + 1 for i in range(start, len(raw) - 1)
+                            if raw[i] == ord("\n")]
+    inner = data.draw(st.lists(st.sampled_from(row_starts + [len(raw)]),
+                               min_size=0, max_size=3))
+    cuts = [start] + sorted(inner) + [len(raw)]
+    block = data.draw(st.integers(1, 64))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_bytes(raw)
+        with mock.patch.object(matrixio, "_BLOCK_BYTES", block):
+            y = read_matrix_csv(path)
+            got = matrixio._reduce_ranges(raw, n, cuts)
+            one = matrixio._reduce_ranges(raw, n, [start, len(raw)])
+    if rows * int(y.max()) ** 2 < 2**53:
+        assert_moments_equal(got, one)
+        assert_moments_equal(got, data_moments(y))
+    else:
+        assert got is None and one is None
+
+
+@pytest.mark.parametrize("cut", ["after-header", "last-row", "end"])
+def test_split_at_edges_bit_equal(tmp_path, cut):
+    raw = b"a,b,c\n1,2,3\n40,5,6\n7,80,900"
+    start, n = matrixio._plain_layout(raw)
+    at = {"after-header": start, "last-row": raw.rindex(b"\n") + 1,
+          "end": len(raw)}[cut]
+    got = matrixio._reduce_ranges(raw, n, [start, at, len(raw)])
+    path = tmp_path / "m.csv"
+    path.write_bytes(raw)
+    assert_moments_equal(got, data_moments(read_matrix_csv(path)))
+
+
+def test_non_plain_byte_only_in_last_range_gives_none():
+    raw = b"1,2\n" * 50 + b"3,4.5\n"
+    start, n = matrixio._plain_layout(raw)
+    last = raw.rindex(b"\n", 0, len(raw) - 1) + 1
+    assert matrixio._reduce_rows(raw, start, last, n) is not None
+    assert matrixio._reduce_ranges(raw, n, [start, 100, last, len(raw)]) is None
+
+
+@pytest.mark.parametrize("text, ranges_alone", [
+    # One 2^26 row per range: each range is exact on its own, since
+    # (2^26)^2 = 2^52, and only the added totals reach 2^53.
+    ("67108864,1\n1,67108864\n", [True, True]),
+    # Both 2^26 rows in the second range: it breaks the bound by itself.
+    ("1,1\n67108864,1\n1,67108864\n", [True, False]),
+], ids=["totals-only", "one-range"])
+def test_split_counts_beyond_bound_give_none(text, ranges_alone):
+    raw = text.encode()
+    start, n = matrixio._plain_layout(raw)
+    cuts = [start, raw.index(b"\n") + 1, len(raw)]
+    alone = [matrixio._reduce_rows(raw, a, b, n) is not None
+             for a, b in zip(cuts, cuts[1:])]
+    assert alone == ranges_alone
+    assert matrixio._reduce_ranges(raw, n, cuts) is None
+    assert matrixio._reduce_ranges(raw, n, [start, len(raw)]) is None
+
+
+def test_read_moments_splits_one_range_per_cpu(tmp_path):
+    rng = np.random.default_rng(3)
+    y = rng.poisson(4.0, size=(500, 6))
+    path = tmp_path / "m.csv"
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in y))
+    ranges = []
+    real = matrixio._reduce_rows
+
+    def spy(data, start, stop, n):
+        ranges.append((start, stop))
+        return real(data, start, stop, n)
+
+    with mock.patch.object(matrixio, "_RANGE_MIN_BYTES", 100), \
+            mock.patch.object(matrixio, "_BLOCK_BYTES", 64), \
+            mock.patch.object(matrixio, "cpu_count", lambda: 4), \
+            mock.patch.object(matrixio, "_reduce_rows", spy):
+        got = matrixio.read_moments_csv(path)
+    size = path.stat().st_size
+    assert len(ranges) == 4 and ranges[0][0] == 0 and ranges[-1][1] == size
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    assert all(abs(stop - start - size / 4) < 30 for start, stop in ranges)
+    assert_moments_equal(got, data_moments(y.astype(float)))
