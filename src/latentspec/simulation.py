@@ -5,6 +5,10 @@ draw a coefficient matrix, a latent basis, the implied mean matrix, and
 conditionally independent observations.  Per-replication randomness comes
 from a counter-based generator keyed statelessly by (seed, rep_index), so
 replications are reproducible and independent regardless of scheduling.
+Observations are drawn in row blocks, in stream order, into one k x n
+array: numpy's samplers read the stream element by element in C order, so
+the blocks give the same variates as one whole-matrix call, and a
+replication holds only ``theta`` and ``y`` beside small block temporaries.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .latent_space import ScalingConfig, estimate_latent_space
-from .matrix_core import DataMatrix, data_moments
+from .matrix_core import _BLOCK_ENTRIES, DataMatrix, data_moments
 from .nef_qvf import Family, variance_from_mean
 from .subspace_metrics import RowSpaceBasis, subspace_distance
 from .variance_estimation import dk_error, estimate_dk_qvf, needs_column_sums
@@ -34,15 +38,22 @@ SCENARIO_FAMILIES = {
 # Counter-based generator; streams derive statelessly from (seed, rep_index).
 RNG_ALGORITHM = "philox4x64:key=(seed<<64)|rep_index"
 
-_MASK64 = (1 << 64) - 1
+_KEY_BOUND = 1 << 64
+
+
+def _check_key_part(value: int, name: str) -> None:
+    # Each half of the 128-bit key holds exactly one value: a wider or
+    # negative one would alias another seed's stream.
+    if not 0 <= value < _KEY_BOUND:
+        raise InvalidParameterError(f"{name} must lie in [0, 2**64), got {value}")
 
 
 def rep_rng(seed: int, rep_index: int) -> np.random.Generator:
     """Stateless per-replication stream: Philox keyed by (seed, rep_index)."""
-    if rep_index < 0:
-        raise InvalidParameterError("rep_index must be >= 0")
-    key = ((int(seed) & _MASK64) << 64) | (int(rep_index) & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    seed, rep_index = int(seed), int(rep_index)
+    _check_key_part(seed, "seed")
+    _check_key_part(rep_index, "rep_index")
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | rep_index))
 
 
 def scenario_family(scenario: str) -> Family:
@@ -71,6 +82,7 @@ class ScenarioConfig:
             raise InvalidParameterError("need 1 <= r < n")
         if self.k < 1 or self.reps < 1:
             raise InvalidParameterError("k and reps must be >= 1")
+        _check_key_part(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -103,6 +115,21 @@ def _binomial_basis(r: int, n: int) -> np.ndarray:
     return m
 
 
+def _draw(rng: np.random.Generator, scenario: str, family: Family,
+          theta: np.ndarray) -> np.ndarray:
+    """Observations of the scenario at ``theta``, one per entry in C order."""
+    if scenario == "normal":
+        return theta + rng.normal(0.0, 1.0, size=theta.shape)
+    if scenario == "poisson":
+        return rng.poisson(theta)
+    if scenario == "binomial":
+        return rng.binomial(int(family.s), theta)
+    s = family.s
+    if scenario == "negbin":
+        return rng.negative_binomial(s, s / (s + theta))
+    return rng.gamma(s, theta / s)
+
+
 def generate_scenario(cfg: ScenarioConfig, rep_index: int) -> ScenarioDraw:
     """Deterministic draw of one replication of the configured scenario."""
     rng = rep_rng(cfg.seed, rep_index)
@@ -123,23 +150,25 @@ def generate_scenario(cfg: ScenarioConfig, rep_index: int) -> ScenarioDraw:
         phi = rng.uniform(0.5, 2.0, size=(k, r))
         m = rng.uniform(0.3, 1.5, size=(r, n))
 
+    # Whole, not per block: a one-row product takes BLAS's gemv path,
+    # whose last bits differ from the matrix product's.
     theta = phi @ m
-    means = family.s * theta if scenario == "binomial" else theta
-    # Raises OutOfSupportError for means outside the family's region.
-    true_deltas = variance_from_mean(family, means).mean(axis=0)
-
-    if scenario == "binomial":
-        y = rng.binomial(int(family.s), theta).astype(float)
-    elif scenario == "normal":
-        y = theta + rng.normal(0.0, 1.0, size=theta.shape)
-    elif scenario == "poisson":
-        y = rng.poisson(theta).astype(float)
-    elif scenario == "negbin":
-        s = family.s
-        y = rng.negative_binomial(s, s / (s + theta)).astype(float)
-    else:  # gamma
-        s = family.s
-        y = rng.gamma(s, theta / s)
+    y = np.empty((k, n))
+    # The column totals of the exact variances run through the blocks in
+    # row order: each block's first row takes the total so far, so the
+    # sums are those of one sequential sum over all k rows.
+    total = None
+    step = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, k, step):
+        block = theta[start:start + step]
+        means = family.s * block if scenario == "binomial" else block
+        # Raises OutOfSupportError for means outside the family's region.
+        var = variance_from_mean(family, means)
+        if total is not None:
+            var[0] += total
+        total = var.sum(axis=0)
+        y[start:start + step] = _draw(rng, scenario, family, block)
+    true_deltas = total / k
 
     w_exact = (phi.T @ phi) / float(k)
 

@@ -730,6 +730,8 @@ def test_simulate_bad_config(tmp_path):
     ("r", None),
     ("scenario", [["poisson"]]),
     ("output_dir", 5),
+    ("seed", -1),
+    ("seed", 2 ** 64),
 ])
 def test_simulate_malformed_field_exits_2(tmp_path, capsys, field, value):
     if field in ("scale", "eta", "c_tilde"):
@@ -943,6 +945,8 @@ SUBSAMPLE = "subsample {y} {m} --family poisson --k-grid 20 --reps 1"
                  + " --rank fixed:2 --out {tmp}/c.csv", id="subsample-reps-0"),
     pytest.param(2, SUBSAMPLE.replace("--reps 1", "--reps -1")
                  + " --rank fixed:2 --out {tmp}/c.csv", id="subsample-reps-negative"),
+    pytest.param(2, SUBSAMPLE + " --seed -1 --rank fixed:2 --out {tmp}/c.csv",
+                 id="subsample-seed-negative"),
 ])
 def test_error_exit_codes(exit_case_files, capsys, code, command):
     argv = [arg.format(**exit_case_files) for arg in command.split()]

@@ -1,14 +1,17 @@
 """Scenario generators and the replication harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from latentspec.errors import InvalidParameterError
 from latentspec.latent_space import ScalingConfig
+from latentspec.matrix_core import _BLOCK_ENTRIES
 from latentspec.simulation import (
     ScenarioConfig,
+    _binomial_basis,
     generate_scenario,
     rep_rng,
     run_replications,
@@ -29,6 +32,23 @@ def test_config_validation():
         ScenarioConfig(scenario="normal", n=10, k=100, r=10)
     with pytest.raises(InvalidParameterError):
         ScenarioConfig(scenario="normal", n=10, k=100, r=2, reps=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_key_half_is_rejected(seed):
+    # Masking to 64 bits would alias -1 with 2**64 - 1 and 2**64 with 0.
+    with pytest.raises(InvalidParameterError, match="seed"):
+        ScenarioConfig(scenario="normal", n=10, k=100, r=2, seed=seed)
+    with pytest.raises(InvalidParameterError, match="seed"):
+        rep_rng(seed, 0)
+    with pytest.raises(InvalidParameterError, match="rep_index"):
+        rep_rng(0, seed)
+
+
+def test_seed_key_half_ends_are_accepted():
+    for seed in (0, 2 ** 64 - 1):
+        ScenarioConfig(scenario="normal", n=10, k=100, r=2, seed=seed)
+        rep_rng(seed, 2 ** 64 - 1).random()
 
 
 def test_scenario_families():
@@ -87,6 +107,84 @@ def test_w_exact_definition():
     np.testing.assert_allclose(
         draw.w_exact, draw.phi.T @ draw.phi / 40.0, rtol=1e-14
     )
+
+
+# ------------------------------------------------------- block-draw oracle
+
+def _reference_generate_scenario(cfg, rep_index):
+    """The whole-matrix draw that generate_scenario makes in row blocks."""
+    rng = rep_rng(cfg.seed, rep_index)
+    k, n, r = cfg.k, cfg.n, cfg.r
+    scenario = cfg.scenario
+    family = scenario_family(scenario)
+
+    if scenario == "normal":
+        phi = rng.normal(0.0, 1.0, size=(k, r))
+        m = rng.uniform(1.0, 10.0, size=(r, n))
+    elif scenario == "poisson":
+        phi = rng.noncentral_chisquare(9.0, 1.0, size=(k, r))
+        m = rng.uniform(1.0, 5.0, size=(r, n))
+    elif scenario == "binomial":
+        phi = rng.uniform(0.05, 0.95, size=(k, r))
+        m = _binomial_basis(r, n)
+    else:  # negbin, gamma
+        phi = rng.uniform(0.5, 2.0, size=(k, r))
+        m = rng.uniform(0.3, 1.5, size=(r, n))
+
+    theta = phi @ m
+    means = family.s * theta if scenario == "binomial" else theta
+    true_deltas = variance_from_mean(family, means).mean(axis=0)
+
+    if scenario == "binomial":
+        y = rng.binomial(int(family.s), theta).astype(float)
+    elif scenario == "normal":
+        y = theta + rng.normal(0.0, 1.0, size=theta.shape)
+    elif scenario == "poisson":
+        y = rng.poisson(theta).astype(float)
+    elif scenario == "negbin":
+        s = family.s
+        y = rng.negative_binomial(s, s / (s + theta)).astype(float)
+    else:  # gamma
+        s = family.s
+        y = rng.gamma(s, theta / s)
+
+    w_exact = (phi.T @ phi) / float(k)
+    return phi, m, theta, y, true_deltas, w_exact
+
+
+def _block_shapes():
+    # k = 1, below one block, one block, one block and a one-row tail,
+    # several blocks and a ragged tail.
+    for n in (2, 15, 100):
+        step = _BLOCK_ENTRIES // n
+        for k in (1, step // 3, step, step + 1, 3 * step + 7):
+            yield n, k
+
+
+@pytest.mark.parametrize("scenario", ["normal", "poisson", "binomial", "negbin", "gamma"])
+@pytest.mark.parametrize("n, k", list(_block_shapes()))
+def test_block_draw_matches_whole_matrix_draw(scenario, n, k):
+    cfg = ScenarioConfig(scenario=scenario, n=n, k=k, r=min(3, n - 1), seed=41)
+    draw = generate_scenario(cfg, 2)
+    got = (draw.phi, draw.m, draw.theta, draw.y.values, draw.true_deltas,
+           draw.w_exact)
+    for name, a, b in zip(("phi", "m", "theta", "y", "true_deltas", "w_exact"),
+                          got, _reference_generate_scenario(cfg, 2)):
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("scenario, n, k", [("binomial", 100, 10_000),
+                                             ("poisson", 20, 100_000)])
+def test_generate_scenario_holds_two_matrices(scenario, n, k):
+    # theta and y are the only k x n arrays; block temporaries stay small.
+    cfg = ScenarioConfig(scenario=scenario, n=n, k=k, r=3, seed=1)
+    tracemalloc.start()
+    try:
+        generate_scenario(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * k * n
 
 
 # ----------------------------------------------------------- reproducibility
