@@ -9,7 +9,6 @@ supplied or calibrated from a plateau scan over a candidate grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,10 @@ from .variance_estimation import VarianceEstimate
 
 ETA_DEFAULT = 1.0 / 3.0
 
-GRID_SIZE = 40
-GRID_SPAN = (1e-3, 1e3)
+# Candidate thresholds of the plateau scan, in units of the median positive
+# eigenvalue.  Read-only, since every CalibrationTrace holds it.
+GRID = np.geomspace(1e-3, 1e3, 40)
+GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -31,13 +32,12 @@ class ScalingConfig:
     ``scale_coefficient`` is either a positive number used as-is or the
     string "auto", which triggers plateau calibration on the eigenvalues.
 
-    Under "auto", eta has no effect beyond rounding: ``default_grid``
-    anchors the candidate coefficients at median * k^eta, and each
-    threshold multiplies its coefficient by k^(-eta), so eta cancels and
-    the scan runs on c_tilde * geomspace(1e-3, 1e3) * median whatever eta
-    is.  That is why acceptance criterion 4, which asks the rank to change
-    with eta under "auto", is red by construction.  With a numeric
-    coefficient, eta sets the threshold c_tilde * c_k * k^(-eta).
+    Under "auto" the rank reads neither k nor eta: ``calibrate_scale``
+    scans thresholds c_tilde * GRID * median in units of the median
+    positive eigenvalue, and k and eta only turn the chosen threshold into
+    the reported c_k.  That is why acceptance criterion 4, which asks the
+    rank to change with eta under "auto", is red by construction.  With a
+    numeric coefficient, eta sets the threshold c_tilde * c_k * k^(-eta).
     """
 
     c_tilde: float = 1.0
@@ -63,10 +63,16 @@ class ScalingConfig:
 
 @dataclass(frozen=True)
 class CalibrationTrace:
-    """Record of one scale-coefficient scan, kept for auditability."""
+    """Record of one scale-coefficient scan, kept for auditability.
+
+    ``grid`` and ``plateau_bounds`` are in units of ``anchor``, the median
+    positive eigenvalue (0.0 when none is positive); ``chosen`` is the
+    scale coefficient c_k.
+    """
 
     grid: np.ndarray
     rank_counts: np.ndarray
+    anchor: float
     chosen: float
     plateau_rank: int | None
     plateau_bounds: tuple[float, float] | None
@@ -76,6 +82,7 @@ class CalibrationTrace:
         return {
             "grid": [float(g) for g in self.grid],
             "rank_counts": [int(v) for v in self.rank_counts],
+            "anchor": float(self.anchor),
             "chosen": float(self.chosen),
             "plateau_rank": self.plateau_rank,
             "plateau_bounds": (
@@ -151,45 +158,35 @@ def adjusted_gram(y, d) -> np.ndarray:
     return g
 
 
-def default_grid(eigenvalues, k: int, eta: float) -> np.ndarray:
-    """Candidate scale coefficients bracketing the positive eigenvalue scale.
-
-    GRID_SIZE values log-spaced between GRID_SPAN[0] and GRID_SPAN[1] times
-    the median positive eigenvalue times k^eta.  Empty when no eigenvalue is
-    positive, the lower end of the grid underflows to zero or the upper end
-    overflows.
-    """
-    vals = np.asarray(eigenvalues, dtype=float).reshape(-1)
-    pos = vals[vals > 0]
-    anchor = float(np.median(pos)) * float(k) ** eta if pos.size else 0.0
-    if not (GRID_SPAN[0] * anchor > 0 and math.isfinite(GRID_SPAN[1] * anchor)):
-        return np.empty(0)
-    return np.geomspace(GRID_SPAN[0] * anchor, GRID_SPAN[1] * anchor, GRID_SIZE)
-
-
 def calibrate_scale(eigenvalues, k: int,
                     cfg: ScalingConfig) -> tuple[float, CalibrationTrace]:
     """Pick a scale coefficient from the longest stable rank plateau.
 
-    Every value g of ``default_grid`` is tried as the scale coefficient: the
-    implied threshold is c_tilde * g * k^(-eta) and the rank is the count of
-    eigenvalues above it.  Maximal runs of consecutive grid values giving
+    The scan runs in units of ``anchor``, the median positive eigenvalue:
+    for every value g of GRID the rank is the count of eigenvalues above
+    c_tilde * g * anchor.  Maximal runs of consecutive grid values giving
     the same rank, with 1 <= rank < n, are plateaus.  Two kinds of run are
     censored because they carry no usable stability information: runs cut
     off by the top of the grid (their true extent is unknown, and they
     reflect overall scale rather than a separation in the spectrum), and
     runs at the bottom of the grid that already count every positive
     eigenvalue (nothing left to separate).  Among the eligible plateaus the
-    geometric midpoint of the longest is chosen, ties going to the run at
-    larger grid values.  With no eligible plateau, or a midpoint that
-    underflows or scales an eigenvalue beyond the float range, the
-    coefficient falls back to 1.0 and the trace is flagged.
+    geometric midpoint g_mid of the longest is chosen, ties going to the
+    run at larger grid values.  Neither k nor eta enters the scan; they
+    only turn the midpoint into the coefficient anchor * g_mid * k^eta, so
+    that tau = c_k * k^(-eta) is the midpoint's threshold.  With no
+    eligible plateau, or one whose coefficient or scaled eigenvalues would
+    not be finite, the coefficient falls back to 1.0 and the trace is
+    flagged.
     """
     vals = np.asarray(eigenvalues, dtype=float).reshape(-1)
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
-    grid = default_grid(vals, k, cfg.eta)
-    thresholds = cfg.c_tilde * grid * float(k) ** (-cfg.eta)
+    pos = vals[vals > 0]
+    anchor = float(np.median(pos)) if pos.size else 0.0
+    # A threshold past the float range is inf and counts nothing.
+    with np.errstate(over="ignore"):
+        thresholds = cfg.c_tilde * GRID * anchor
     counts = np.count_nonzero(vals > thresholds[:, None], axis=1)
 
     # Maximal runs of equal counts, from starts[i] to stops[i] inclusive.
@@ -199,26 +196,25 @@ def calibrate_scale(eigenvalues, k: int,
     eligible = (
         (ranks >= 1) & (ranks < vals.size)
         & (stops != counts.size - 1)
-        & ~((starts == 0) & (ranks >= np.count_nonzero(vals > 0)))
+        & ~((starts == 0) & (ranks >= pos.size))
     )
     lengths = np.where(eligible, stops - starts + 1, 0)
 
     rank, bounds, chosen = None, None, 1.0
     if lengths.any():
         best = lengths.size - 1 - int(np.argmax(lengths[::-1]))
-        lo, hi = grid[starts[best]], grid[stops[best]]
-        mid = np.sqrt(lo * hi)
-        # The midpoint may underflow (tau = 0) or scale the top eigenvalue
-        # past the float range; either way estimate_rank's scaled
-        # eigenvalues would not be finite.
+        lo, hi = GRID[starts[best]], GRID[stops[best]]
+        # Near the ends of the float range c_k, or estimate_rank's
+        # eigenvalues scaled by tau = c_k * k^(-eta), may not be finite.
         with np.errstate(all="ignore"):
-            finite = np.isfinite(vals / (mid * float(k) ** (-cfg.eta))).all()
-        if finite:
+            coeff = anchor * np.sqrt(lo * hi) * float(k) ** cfg.eta
+            scaled = vals / (coeff * float(k) ** (-cfg.eta))
+        if np.isfinite(coeff) and np.isfinite(scaled).all():
             rank, bounds = int(ranks[best]), (float(lo), float(hi))
-            chosen = float(mid)
+            chosen = float(coeff)
     trace = CalibrationTrace(
-        grid=grid, rank_counts=counts, chosen=chosen, plateau_rank=rank,
-        plateau_bounds=bounds, no_plateau=rank is None,
+        grid=GRID, rank_counts=counts, anchor=anchor, chosen=chosen,
+        plateau_rank=rank, plateau_bounds=bounds, no_plateau=rank is None,
     )
     return chosen, trace
 

@@ -172,15 +172,6 @@ def as_moments(y) -> Moments:
     return y if isinstance(y, Moments) else data_moments(y, sums=False)
 
 
-def gram_scaled(y) -> np.ndarray:
-    """Return the n x n matrix (Y^T Y) / k for a k x n data matrix Y.
-
-    The upper triangle is computed and mirrored so the result is exactly
-    symmetric bit-for-bit.
-    """
-    return as_moments(y).scaled_gram()
-
-
 @dataclass(frozen=True)
 class SymmetricEigen:
     """Full eigendecomposition of a symmetric matrix.

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from latentspec.errors import InvalidParameterError, LengthMismatchError
 from latentspec.latent_space import (
+    GRID,
     CalibrationTrace,
     ScalingConfig,
     adjusted_gram,
     calibrate_scale,
-    default_grid,
     estimate_latent_space,
     estimate_rank,
 )
-from latentspec.matrix_core import frobenius_norm, gram_scaled
+from latentspec.matrix_core import data_moments, frobenius_norm
 from latentspec.simulation import ScenarioConfig, generate_scenario
 from latentspec.subspace_metrics import subspace_distance
 from latentspec.variance_estimation import explicit
@@ -36,7 +36,8 @@ def test_adjusted_gram_exact_cancellation():
 def test_adjusted_gram_zero_correction():
     rng = np.random.default_rng(0)
     y = rng.normal(size=(9, 4))
-    np.testing.assert_array_equal(adjusted_gram(y, np.zeros(4)), gram_scaled(y))
+    np.testing.assert_array_equal(adjusted_gram(y, np.zeros(4)),
+                                  data_moments(y, sums=False).scaled_gram())
 
 
 def test_adjusted_gram_accepts_variance_estimate():
@@ -108,7 +109,9 @@ def test_calibrate_scale_separated_spectrum():
     assert not trace.no_plateau
     assert trace.plateau_rank == 2
     lo, hi = trace.plateau_bounds
-    assert chosen == pytest.approx(np.sqrt(lo * hi))
+    assert trace.anchor == 1.5005
+    assert chosen == pytest.approx(
+        trace.anchor * np.sqrt(lo * hi) * 10000.0 ** cfg.eta)
     est = estimate_rank(vals, k=10000, cfg=cfg)
     assert est.r_hat == 2
 
@@ -129,12 +132,13 @@ def test_calibrate_scale_all_nonpositive_falls_back():
 def _loop_calibrate_scale(vals, k, cfg):
     """Reference: the plateau scan as one rank count per grid value and a
     run-by-run search, the form the array scan replaced."""
-    grid = default_grid(vals, k, cfg.eta)
-    decay = float(k) ** (-cfg.eta)
+    grid = np.geomspace(1e-3, 1e3, 40)
+    positive = sorted(v for v in vals if v > 0.0)
+    n_positive = len(positive)
+    anchor = float(np.median(positive)) if positive else 0.0
     counts = np.array(
-        [int(np.sum(vals > cfg.c_tilde * g * decay)) for g in grid], dtype=int
+        [int(np.sum(vals > cfg.c_tilde * g * anchor)) for g in grid], dtype=int
     )
-    n_positive = int(np.sum(vals > 0.0))
     last = counts.shape[0] - 1
     best = None  # (length, start, stop_inclusive, rank)
     i = 0
@@ -150,14 +154,15 @@ def _loop_calibrate_scale(vals, k, cfg):
         i = j + 1
     if best is None:
         return 1.0, CalibrationTrace(
-            grid=grid, rank_counts=counts, chosen=1.0,
+            grid=grid, rank_counts=counts, anchor=anchor, chosen=1.0,
             plateau_rank=None, plateau_bounds=None, no_plateau=True,
         )
     _, lo, hi, rank = best
-    chosen = float(np.sqrt(grid[lo] * grid[hi]))
+    chosen = float(anchor * np.sqrt(grid[lo] * grid[hi]) * float(k) ** cfg.eta)
     return chosen, CalibrationTrace(
-        grid=grid, rank_counts=counts, chosen=chosen, plateau_rank=rank,
-        plateau_bounds=(float(grid[lo]), float(grid[hi])), no_plateau=False,
+        grid=grid, rank_counts=counts, anchor=anchor, chosen=chosen,
+        plateau_rank=rank, plateau_bounds=(float(grid[lo]), float(grid[hi])),
+        no_plateau=False,
     )
 
 
@@ -185,34 +190,52 @@ def test_calibrate_scale_trace_matches_direct_scan(data):
     assert trace.to_dict() == ref_trace.to_dict()
 
 
-@pytest.mark.parametrize("vals, k", [([0.0, 5e-324], 1),
-                                     ([1e-300, 1e-310], 1000)])
+@pytest.mark.parametrize("vals, k", [([0.0, 5e-324], 1)])
 def test_estimate_rank_auto_near_underflow_falls_back(vals, k):
-    # The grid's lower end, or the chosen midpoint, underflows to zero.
+    # The lowest thresholds underflow to zero and count the one positive
+    # eigenvalue; the higher ones count nothing, so no plateau is eligible.
     est = estimate_rank(np.array(vals), k)
     assert est.calibration.no_plateau and est.scale_coefficient == 1.0
     assert np.all(np.isfinite(est.scaled_eigenvalues))
 
 
-@pytest.mark.parametrize("vals, k, r_hat", [([1e306, 1e306, 1.0], 10**6, 3),
-                                            ([1e300, 1e-150, 1e-160], 10, 1)])
+@pytest.mark.parametrize("vals, k, r_hat", [([1e300, 1e-150, 1e-160], 10, 1)])
 def test_estimate_rank_auto_near_overflow_falls_back(vals, k, r_hat):
-    # The grid's upper end overflows, or the plateau midpoint would scale
-    # the top eigenvalue to inf; either takes the fallback, without a
-    # RuntimeWarning (pyproject.toml makes one an error).
+    # The plateau midpoint would scale the top eigenvalue to inf, so it
+    # takes the fallback, without a RuntimeWarning (pyproject.toml makes
+    # one an error).
     est = estimate_rank(np.array(vals), k)
     assert est.calibration.no_plateau and est.scale_coefficient == 1.0
     assert np.all(np.isfinite(est.scaled_eigenvalues))
     assert est.r_hat == r_hat
 
 
+@pytest.mark.parametrize("vals, k, rescaled", [
+    ([1e-300, 1e-310], 1000, [1.0, 1e-10]),
+    ([1e306, 1e306, 1.0], 10**6, [1.0, 1.0, 1e-306]),
+])
+def test_estimate_rank_auto_near_float_limits_matches_rescaled(vals, k,
+                                                              rescaled):
+    # Spectra near the ends of the float range get the rank of the same
+    # spectrum in ordinary units: the scan is in units of the median.
+    est = estimate_rank(np.array(vals), k)
+    ref = estimate_rank(np.array(rescaled), k)
+    assert not est.calibration.no_plateau
+    assert est.r_hat == ref.r_hat == len(vals) - 1
+    assert np.all(np.isfinite(est.scaled_eigenvalues))
+
+
 def test_default_grid_shape_and_anchor():
+    assert GRID.shape == (40,)
+    assert GRID[0] == pytest.approx(1e-3) and GRID[-1] == pytest.approx(1e3)
+    np.testing.assert_allclose(np.diff(np.log(GRID)), np.log(1e6) / 39)
     vals = np.array([8.0, 2.0, 0.5, -0.1])
-    grid = default_grid(vals, k=1000, eta=1.0 / 3.0)
-    assert grid.shape == (40,)
-    anchor = 2.0 * 1000.0 ** (1.0 / 3.0)
-    assert grid[0] == pytest.approx(1e-3 * anchor)
-    assert grid[-1] == pytest.approx(1e3 * anchor)
+    _, trace = calibrate_scale(vals, k=1000, cfg=ScalingConfig())
+    assert trace.anchor == 2.0
+    np.testing.assert_array_equal(trace.grid, GRID)
+    _, trace = calibrate_scale(np.array([-1.0, 0.0]), k=1000,
+                               cfg=ScalingConfig())
+    assert trace.anchor == 0.0
 
 
 def test_rank_estimate_rejects_inconsistent_count():
@@ -284,7 +307,7 @@ def test_estimate_auto_all_nonpositive_spectrum_is_empty(data):
     n = data.draw(st.integers(2, 8))
     y = np.array(data.draw(st.lists(
         st.floats(-1e3, 1e3), min_size=k * n, max_size=k * n))).reshape(k, n)
-    top = float(np.linalg.eigvalsh(gram_scaled(y))[-1])
+    top = float(np.linalg.eigvalsh(data_moments(y, sums=False).scaled_gram())[-1])
     extra = np.array(data.draw(st.lists(
         st.floats(0.0, 1e3), min_size=n, max_size=n)))
     d = 2.0 * top + extra
@@ -296,8 +319,9 @@ def test_estimate_auto_all_nonpositive_spectrum_is_empty(data):
     assert est.rank.r_hat == 0
 
 
-# Far from underflow, so that scaling by 2^j for |j| <= 30 is exact.
 _EIGENVALUE = st.one_of(st.just(0.0), st.floats(1e-6, 1e4), st.floats(-1e2, -1e-6))
+_UNIT_FREE = ("grid", "rank_counts", "plateau_rank", "plateau_bounds",
+              "no_plateau")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -309,10 +333,33 @@ def test_estimate_rank_auto_invariant_to_power_of_two_scaling(data):
     k = data.draw(st.integers(1, 10**6))
     base = estimate_rank(vals, k)
     assume(not base.calibration.no_plateau)
-    j = data.draw(st.integers(-30, 30))
+    j = data.draw(st.integers(-1000, 1000))
+    # Scaling by 2^j is exact while every threshold and coefficient formed
+    # from a nonzero value (1e-3 to 1e5 times it) stays a normal float.
+    nonzero = np.abs(vals[vals != 0.0]) * 2.0 ** j
+    assume(np.all((nonzero >= np.finfo(float).tiny * 1e3)
+                  & (nonzero <= np.finfo(float).max * 1e-5)))
     scaled = estimate_rank(vals * 2.0 ** j, k)
     assert scaled.r_hat == base.r_hat
-    assert scaled.calibration.plateau_rank == base.calibration.plateau_rank
+    got, want = scaled.calibration.to_dict(), base.calibration.to_dict()
+    assert {f: got[f] for f in _UNIT_FREE} == {f: want[f] for f in _UNIT_FREE}
+    assert scaled.calibration.anchor == base.calibration.anchor * 2.0 ** j
+    assert scaled.scale_coefficient == base.scale_coefficient * 2.0 ** j
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_calibrate_scale_scan_reads_neither_k_nor_eta(data):
+    n = data.draw(st.integers(1, 12))
+    vals = np.sort(data.draw(st.lists(
+        _SPECTRUM_VALUE, min_size=n, max_size=n)))[::-1]
+    c_tilde = data.draw(st.floats(0.1, 10.0))
+    traces = [
+        calibrate_scale(vals, k, ScalingConfig(c_tilde=c_tilde, eta=eta))[1]
+        for k in (1, 10**7) for eta in (1.0 / 3.0, 1.0)
+    ]
+    scans = [{f: t.to_dict()[f] for f in _UNIT_FREE} for t in traces]
+    assert all(scan == scans[0] for scan in scans)
 
 
 def test_estimate_fixed_rank_validation():

@@ -9,8 +9,8 @@ from latentspec.errors import (
 )
 from latentspec.matrix_core import (
     DataMatrix,
+    data_moments,
     frobenius_norm,
-    gram_scaled,
     sym_eigen,
 )
 
@@ -67,12 +67,13 @@ def test_data_matrix_rejects_nonfinite():
 # --------------------------------------------------------------------- gram
 
 def test_gram_identity():
-    np.testing.assert_array_equal(gram_scaled(np.eye(2)), np.eye(2) / 2.0)
+    got = data_moments(np.eye(2), sums=False).scaled_gram()
+    np.testing.assert_array_equal(got, np.eye(2) / 2.0)
 
 
 def test_gram_hand_multiply():
     # Y^T Y of [[1,2],[3,4]] is [[10,14],[14,20]]; divided by k=2.
-    got = gram_scaled(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    got = data_moments(np.array([[1.0, 2.0], [3.0, 4.0]]), sums=False).scaled_gram()
     np.testing.assert_allclose(got, [[5.0, 7.0], [7.0, 10.0]], rtol=0, atol=0)
 
 
@@ -80,14 +81,15 @@ def test_gram_exactly_symmetric():
     rng = np.random.default_rng(1)
     for _ in range(20):
         y = rng.normal(size=(rng.integers(2, 40), rng.integers(2, 10)))
-        g = gram_scaled(y)
+        g = data_moments(y, sums=False).scaled_gram()
         assert np.array_equal(g, g.T)
 
 
 def test_gram_matches_definition():
     rng = np.random.default_rng(2)
     y = rng.normal(size=(13, 5))
-    np.testing.assert_allclose(gram_scaled(y), y.T @ y / 13.0, rtol=1e-13)
+    got = data_moments(y, sums=False).scaled_gram()
+    np.testing.assert_allclose(got, y.T @ y / 13.0, rtol=1e-13)
 
 
 # -------------------------------------------------------------------- eigen
