@@ -40,7 +40,7 @@ from .matrixio import (
     read_vector_csv,
     write_matrix_csv,
 )
-from .nef_qvf import FAMILY_KINDS, Family, family_to_dict
+from .nef_qvf import FAMILY_KINDS, Family, family_to_dict, in_support
 from .simulation import (
     RNG_ALGORITHM,
     ScenarioConfig,
@@ -50,6 +50,7 @@ from .simulation import (
 from .subspace_metrics import subspace_distance
 from .variance_estimation import (
     VarianceEstimate,
+    check_support,
     estimate_dk_leek,
     estimate_dk_qvf,
     explicit,
@@ -88,30 +89,29 @@ def _load_data(path, transpose=False) -> DataMatrix:
 
 
 def _load_moments(path, transpose: bool, fam: Family | None) -> Moments:
-    """The data file's Moments, with the column sums ``fam`` reads.
+    """The data file's Moments, with the column sums ``fam`` reads, checked
+    against the support of ``fam``.
 
-    A plain file is reduced as it is parsed; any other file, a transposed
-    one, or one whose counts are too large for exact sums is read whole.
+    A plain file is reduced as it is parsed, and read whole again only to
+    name the positions of a support violation.  Any other file, a
+    transposed one, or one whose counts are too large for exact sums is
+    read whole once.
     """
+    moments = data = None
     if not transpose:
         try:
             moments = read_moments_csv(path)
         except InvalidParameterError as exc:
             raise CliError(f"{path}: {exc}")
-        if moments is not None:
-            return moments
-    sums = fam is not None and needs_column_sums(fam)
-    return data_moments(_load_data(path, transpose), sums)
-
-
-def _qvf_correction(moments: Moments, fam: Family, load) -> VarianceEstimate:
-    """estimate_dk_qvf on the Moments; a support violation is raised again
-    from the matrix that ``load()`` returns, which names its positions."""
-    try:
-        return estimate_dk_qvf(moments, fam)
-    except SupportViolationError:
-        estimate_dk_qvf(load(), fam)
-        raise
+    if moments is None:
+        data = _load_data(path, transpose)
+        moments = data_moments(data, fam is not None and needs_column_sums(fam))
+    if fam is not None and not in_support(fam, moments.ymin, moments.ymax,
+                                          moments.integral):
+        if data is None:
+            data = _load_data(path, transpose)
+        check_support(fam, data.values)
+    return moments
 
 
 def _write_table(path, header, rows) -> None:
@@ -156,19 +156,19 @@ def _scaling_from_args(args) -> ScalingConfig:
 
 
 def _config_number(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
+    """A JSON number; strings and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CliError(f"config {name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _config_int(value, name: str) -> int:
-    try:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError
+    """A JSON integer, or a float with an integral value such as 6.0."""
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError):
+    if isinstance(value, bool) or not isinstance(value, int):
         raise CliError(f"config {name} must be an integer, got {value!r}")
+    return value
 
 
 def _parse_int_list(text: str, name: str, lo: int, hi: int) -> list[int]:
@@ -195,19 +195,9 @@ def _parse_int_list(text: str, name: str, lo: int, hi: int) -> list[int]:
 
 
 def _variance_estimate(args, moments: Moments, fam: Family | None) -> VarianceEstimate:
-    """Build the diagonal correction from the mutually exclusive flags."""
-    chosen = [
-        args.family is not None,
-        args.leek is not None,
-        args.dk_file is not None,
-    ]
-    if sum(chosen) != 1:
-        raise CliError(
-            "exactly one of --family, --leek, --dk-file is required"
-        )
+    """Build the diagonal correction from the one correction flag set."""
     if fam is not None:
-        load = functools.partial(_load_data, args.data, args.transpose)
-        return _qvf_correction(moments, fam, load)
+        return estimate_dk_qvf(moments, fam)
     if args.leek is not None:
         return estimate_dk_leek(moments, args.leek)
     deltas = read_vector_csv(args.dk_file)
@@ -247,6 +237,9 @@ def _rank_record(est, dk) -> dict:
 
 
 def cmd_estimate(args) -> int:
+    chosen = [args.family, args.leek, args.dk_file]
+    if sum(flag is not None for flag in chosen) != 1:
+        raise CliError("exactly one of --family, --leek, --dk-file is required")
     fam = _family_from_args(args)
     moments = _load_moments(args.data, args.transpose, fam)
     k, n = moments.k, moments.n
@@ -317,10 +310,13 @@ def cmd_simulate(args) -> int:
         raise CliError("config scaling is not a JSON object")
     c_tilde = scaling_cfg.get("c_tilde", ScalingConfig.c_tilde)
     eta = scaling_cfg.get("eta", ETA_DEFAULT)
+    scale = scaling_cfg.get("scale", "auto")
+    if scale != "auto":
+        scale = _config_number(scale, "scaling.scale")
     scaling = _scaling(
         _config_number(c_tilde, "scaling.c_tilde"),
         _config_number(eta, "scaling.eta"),
-        scaling_cfg.get("scale", "auto"), "config scaling.scale",
+        scale, "config scaling.scale",
     )
 
     cells = _config_cells(cfg)
@@ -427,9 +423,9 @@ def cmd_distance(args) -> int:
 def cmd_subsample(args) -> int:
     if args.reps < 1:
         raise CliError(f"--reps must be at least 1, got {args.reps}")
-    data = _load_data(args.data, args.transpose)
+    data = _load_data(args.data, args.transpose).values
     m = read_matrix_csv(args.m)
-    k_full, n = data.values.shape
+    k_full, n = data.shape
     if m.shape[1] != n:
         raise CliError(f"M has {m.shape[1]} columns, data has {n}")
     k_grid = _parse_int_list(args.k_grid, "--k-grid", 1, k_full)
@@ -438,6 +434,8 @@ def cmd_subsample(args) -> int:
         raise CliError("--family is required")
     rank = _parse_rank(args.rank)
     cfg = _scaling_from_args(args)
+    # Every draw is a subset of the rows, so it is in support if the file is.
+    check_support(fam, data)
 
     sums = needs_column_sums(fam)
     rows = []
@@ -446,9 +444,8 @@ def cmd_subsample(args) -> int:
         for rep in range(args.reps):
             rng = rep_rng(args.seed, ki * args.reps + rep)
             idx = np.sort(rng.choice(k_full, size=kv, replace=False))
-            sub = DataMatrix(data.values[idx, :])
-            moments = data_moments(sub, sums)
-            dk = _qvf_correction(moments, fam, lambda: sub)
+            moments = data_moments(data[idx, :], sums)
+            dk = estimate_dk_qvf(moments, fam)
             est = estimate_latent_space(moments, dk, rank=rank, cfg=cfg)
             if est.is_empty:
                 dists.append(float("nan"))
@@ -475,8 +472,7 @@ def cmd_rank_sweep(args) -> int:
     if m is not None and m.shape[1] != n:
         raise CliError(f"M has {m.shape[1]} columns, data has {n}")
 
-    load = functools.partial(_load_data, args.data, args.transpose)
-    dk = _qvf_correction(moments, fam, load)
+    dk = estimate_dk_qvf(moments, fam)
     eig = estimate_latent_space(moments, dk, rank=n).eigen
 
     rows = []

@@ -143,39 +143,26 @@ def variance_from_mean(f: Family, theta):
     return out
 
 
-def data_support_mask(f: Family, y) -> np.ndarray:
-    """Boolean mask of entries inside the family's observation support.
+def in_support(f: Family, lo, hi, whole):
+    """Whether finite data lie inside the family's observation support.
 
-    Counts (poisson, binomial, negbin) must be nonnegative integers, the
-    binomial additionally capped at s; gamma observations must be positive.
-    Normal and GHS accept any finite real.
+    Counts (poisson, binomial, negbin) must be nonnegative whole numbers,
+    the binomial ones at most s; gamma observations must be positive.
+    Normal and GHS accept any finite real and read no argument.  Given the
+    range of a matrix (its smallest entry ``lo``, its largest ``hi`` and
+    ``whole``, whether every entry is a whole number) this is the verdict
+    on the whole matrix; given arrays (``lo = hi = y`` and
+    ``whole = (y == floor(y))``) the same rule is the entry mask.
     """
-    arr = np.asarray(y, dtype=float)
     kind = f.kind
     if kind in ("normal", "ghs"):
-        return np.isfinite(arr)
+        return np.full(np.shape(lo), True)
     if kind == "gamma":
-        return np.isfinite(arr) & (arr > 0)
-    ok = np.isfinite(arr) & (arr >= 0) & (arr == np.floor(arr))
+        return lo > 0
+    ok = (lo >= 0) & whole
     if kind == "binomial":
-        ok &= arr <= f.s
+        ok = ok & (hi <= f.s)
     return ok
-
-
-def data_in_support(f: Family, ymin: float | None, ymax: float | None,
-                    integral: bool | None) -> bool:
-    """``data_support_mask(f, y).all()`` for finite data y, from its range.
-
-    ``ymin`` and ``ymax`` are the smallest and largest entry of y, and
-    ``integral`` tells whether every entry is a whole number.  The normal
-    and GHS families accept any finite data and read none of them.
-    """
-    kind = f.kind
-    if kind in ("normal", "ghs"):
-        return True
-    if kind == "gamma":
-        return ymin > 0
-    return ymin >= 0 and integral and (kind != "binomial" or ymax <= f.s)
 
 
 def family_to_dict(f: Family) -> dict:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,14 +30,12 @@ MAX_CONDITION = 1e12
 class RowSpaceBasis:
     """An r x n matrix whose rows span the space.
 
-    ``row_gram`` is the eigendecomposition of B B^T, computed once for the
-    rank check and reused by the projector and the distance.
-    ``orthonormal`` is set when B B^T is the identity within 1e-10.
+    ``orthonormal`` is set when B B^T is the identity within 1e-10; such
+    rows have full rank.  Other rows are checked for rank on construction.
     """
 
     matrix: np.ndarray
     orthonormal: bool = field(init=False)
-    row_gram: SymmetricEigen = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = _as_2d_float(self.matrix, "basis")
@@ -45,18 +44,22 @@ class RowSpaceBasis:
             raise RankDeficientError(
                 f"basis must have 1 <= rows <= cols, got {mat.shape}"
             )
-        gram = mat @ mat.T
-        orthonormal = np.max(np.abs(gram - np.eye(r))) <= ORTHONORMAL_TOL
-        gram = (gram + gram.T) / 2.0
-        eig = sym_eigen(gram)
-        lam = eig.eigenvalues
+        orthonormal = np.max(np.abs(mat @ mat.T - np.eye(r))) <= ORTHONORMAL_TOL
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "orthonormal", bool(orthonormal))
+        if orthonormal:
+            return
+        lam = self.row_gram.eigenvalues
         if lam[0] <= 0 or np.sqrt(max(lam[-1], 0.0)) <= RANK_TOL * np.sqrt(lam[0]):
             raise RankDeficientError(
                 "basis rows are rank deficient at tolerance 1e-10"
             )
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "orthonormal", bool(orthonormal))
-        object.__setattr__(self, "row_gram", eig)
+
+    @cached_property
+    def row_gram(self) -> SymmetricEigen:
+        """Eigendecomposition of B B^T, made once on first use."""
+        gram = self.matrix @ self.matrix.T
+        return sym_eigen((gram + gram.T) / 2.0)
 
     @property
     def r(self) -> int:

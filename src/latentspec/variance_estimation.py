@@ -20,13 +20,7 @@ from .errors import (
     SupportViolationError,
 )
 from .matrix_core import Moments, as_data, as_moments, data_moments, sym_eigen
-from .nef_qvf import (
-    Family,
-    data_in_support,
-    data_support_mask,
-    qvf_coefficients,
-    qvf_transform,
-)
+from .nef_qvf import Family, in_support, qvf_coefficients, qvf_transform
 
 _MAX_REPORTED_VIOLATIONS = 20
 
@@ -66,6 +60,20 @@ def needs_column_sums(f: Family) -> bool:
     return bool(c.b1 or c.b2)
 
 
+def check_support(f: Family, values) -> None:
+    """Raise SupportViolationError if an entry of ``values`` lies outside
+    the support of ``f``, naming the first 20 (row, col) positions."""
+    y = np.asarray(values, dtype=float)
+    bad = np.argwhere(~in_support(f, y, y, y == np.floor(y)))
+    if bad.shape[0]:
+        locs = [tuple(int(v) for v in row) for row in bad[:_MAX_REPORTED_VIOLATIONS]]
+        raise SupportViolationError(
+            f"{bad.shape[0]} entries outside the {f.kind} support, "
+            f"first at (row, col) {locs[0]}",
+            locations=locs,
+        )
+
+
 def estimate_dk_qvf(y, f: Family) -> VarianceEstimate:
     """Column averages of v(y), one per sample column.
 
@@ -85,16 +93,10 @@ def estimate_dk_qvf(y, f: Family) -> VarianceEstimate:
     if sums and m.colsum is None:
         raise InvalidParameterError(
             f"the {f.kind} correction needs the column sums")
-    if not data_in_support(f, m.ymin, m.ymax, m.integral):
-        message = f"entries outside the {f.kind} support"
-        if data is None:
-            raise SupportViolationError(message)
-        bad = np.argwhere(~data_support_mask(f, data.values))
-        locs = [tuple(int(v) for v in row) for row in bad[:_MAX_REPORTED_VIOLATIONS]]
-        raise SupportViolationError(
-            f"{bad.shape[0]} {message}, first at (row, col) {locs[0]}",
-            locations=locs,
-        )
+    if not in_support(f, m.ymin, m.ymax, m.integral):
+        if data is not None:
+            check_support(f, data.values)
+        raise SupportViolationError(f"entries outside the {f.kind} support")
     k = float(m.k)
     # With b1 = b2 = 0 only the shape of mean_y is read.
     mean_y, mean_y2 = np.zeros(m.n), None

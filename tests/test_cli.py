@@ -22,7 +22,7 @@ from latentspec.errors import (
 )
 from latentspec.latent_space import estimate_latent_space
 from latentspec.matrixio import read_matrix_csv, write_matrix_csv
-from latentspec.simulation import ScenarioConfig, generate_scenario
+from latentspec.simulation import ScenarioConfig, generate_scenario, rep_rng
 from latentspec.subspace_metrics import subspace_distance
 from latentspec.variance_estimation import estimate_dk_qvf
 
@@ -474,6 +474,27 @@ def test_streamed_support_violation_names_positions(counts, tmp_path, capsys,
         f"first at (row, col) ({row}, {col})\n")
 
 
+def test_support_violation_in_whole_file_parses_it_once(counts, tmp_path, capsys,
+                                                      monkeypatch):
+    # The matrix in hand names the positions; the file is not parsed again.
+    y, _, other = counts
+    y[40, 3] = 0.5
+    write_matrix_csv(other, y)
+    calls = []
+    real = matrixio._loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(matrixio, "_loadtxt", spy)
+    assert main(["estimate", str(other), "--family", "poisson",
+                 "--out", str(tmp_path / "out")]) == 3
+    assert len(calls) == 1
+    assert capsys.readouterr().err == (
+        "error: 1 entries outside the poisson support, first at (row, col) (40, 3)\n")
+
+
 def test_streamed_one_column_file_exits_2(tmp_path, capsys):
     errors = []
     for name, text in (("plain.csv", "1\n2\n3\n"), ("other.csv", "1.0\n2.0\n3.0\n")):
@@ -732,6 +753,12 @@ def test_simulate_bad_config(tmp_path):
     ("output_dir", 5),
     ("seed", -1),
     ("seed", 2 ** 64),
+    ("k", "50"),
+    ("seed", False),
+    ("reps", "2"),
+    ("c_tilde", "2"),
+    ("eta", True),
+    ("scale", "1.5"),
 ])
 def test_simulate_malformed_field_exits_2(tmp_path, capsys, field, value):
     if field in ("scale", "eta", "c_tilde"):
@@ -824,6 +851,27 @@ def test_subsample_deterministic(poisson_fixture, tmp_path):
                    "--out", str(out)])
         assert rc == 0
     assert c1.read_bytes() == c2.read_bytes()
+
+
+@pytest.mark.parametrize("k_grid, drawn", [("20", False), ("399", True)])
+def test_subsample_support_violation_names_file_row(poisson_fixture, tmp_path,
+                                                     capsys, k_grid, drawn):
+    # The whole file is checked before any draw, so the bad entry is found
+    # whether or not the draw holds its row, and is named at its file row:
+    # the 399-row draw leaves out row 371, so it holds row 380 at 379.
+    draw, y_path, m_path = poisson_fixture
+    y = draw.y.values.copy()
+    y[380, 2] = 2.5
+    write_matrix_csv(y_path, y)
+    idx = rep_rng(3, 0).choice(400, size=int(k_grid), replace=False)
+    assert (380 in idx) == drawn
+    rc = main(["subsample", str(y_path), str(m_path), "--family", "poisson",
+               "--k-grid", k_grid, "--reps", "1", "--seed", "3",
+               "--out", str(tmp_path / "c.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: 1 entries outside the poisson support, first at (row, col) (380, 2)\n")
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_subsample_k_too_large(poisson_fixture, tmp_path):

@@ -11,11 +11,10 @@ from latentspec.matrix_core import is_integral
 from latentspec.nef_qvf import (
     Family,
     binomial,
-    data_in_support,
-    data_support_mask,
     family_to_dict,
     gamma,
     ghs,
+    in_support,
     negbin,
     normal,
     poisson,
@@ -162,9 +161,12 @@ def test_family_serialization_round_trip():
 @pytest.mark.parametrize("f", ALL_FAMILIES, ids=lambda f: f.kind)
 @pytest.mark.parametrize("bad", [None, -1.0, -0.0, 0.0, 0.5, 20.5, 21.0, 1e300])
 def test_data_in_support_matches_mask(f, bad):
+    # The verdict from the range is that of the entry mask on every entry.
     # 30000 x 3 spans two row blocks; the one changed entry is in the last.
     y = np.random.default_rng(0).integers(1, 20, size=(30000, 3)).astype(float)
     if bad is not None:
         y[-2, 1] = bad
-    in_support = data_in_support(f, y.min(), y.max(), is_integral(y))
-    assert in_support == data_support_mask(f, y).all()
+    verdict = in_support(f, y.min(), y.max(), is_integral(y))
+    mask = in_support(f, y, y, y == np.floor(y))
+    assert mask.shape == y.shape
+    assert verdict == mask.all()

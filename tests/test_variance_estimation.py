@@ -173,10 +173,10 @@ def test_qvf_support_violation_text_and_locations():
 
 
 def test_qvf_builds_no_support_mask_on_in_support_data(monkeypatch):
-    def no_mask(f, y):
+    def no_mask(f, values):
         raise AssertionError("support mask built")
 
-    monkeypatch.setattr(variance_estimation, "data_support_mask", no_mask)
+    monkeypatch.setattr(variance_estimation, "check_support", no_mask)
     for f in FAMILIES:
         estimate_dk_qvf(family_data(f, np.random.default_rng(2), (50, 4)), f)
 
