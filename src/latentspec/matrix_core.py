@@ -167,6 +167,45 @@ def data_moments(y, sums: bool = True) -> Moments:
     return Moments(gram, colsum, colsumsq, k, ymin, ymax, integral)
 
 
+def _count_sums(blocks, n: int):
+    """(gram, colsum, rows, ymin, ymax) of the (rows, n) float64 ``blocks``.
+
+    The blocks hold nonnegative whole numbers.  While k * max(y)^2 < 2^53
+    every partial sum is an integer below 2^53, exact in float64, so the
+    totals have the bits of the whole-matrix ones whatever the blocking.
+    None as soon as the running totals break that bound; the remaining
+    blocks are not read.  No blocks give zeros.
+    """
+    gram, colsum = np.zeros((n, n)), np.zeros(n)
+    k, ymin, ymax = 0, np.inf, 0.0
+    for block in blocks:
+        gram += block.T @ block
+        colsum += np.ones(block.shape[0]) @ block
+        k += block.shape[0]
+        ymin, ymax = min(ymin, block.min()), max(ymax, block.max())
+        if k * int(ymax) ** 2 >= EXACT_SUM_BOUND:
+            return None
+    return gram, colsum, k, ymin, ymax
+
+
+def _count_moments(partials) -> Moments | None:
+    """The Moments of row ranges from their ``_count_sums``, added in order.
+
+    None when a range gave None or the totals break k * max(y)^2 < 2^53.
+    """
+    if any(p is None for p in partials):
+        return None
+    gram, colsum, k, ymin, ymax = partials[0]
+    for g, c, rows, lo, hi in partials[1:]:
+        gram += g
+        colsum += c
+        k, ymin, ymax = k + rows, min(ymin, lo), max(ymax, hi)
+    if k * int(ymax) ** 2 >= EXACT_SUM_BOUND:
+        return None
+    return Moments(gram, colsum, np.diag(gram).copy(), k, float(ymin),
+                   float(ymax), integral=True)
+
+
 def as_moments(y) -> Moments:
     """Return Moments as they are, or the Moments (without sums) of a matrix."""
     return y if isinstance(y, Moments) else data_moments(y, sums=False)

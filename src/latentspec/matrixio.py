@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParameterError
-from .matrix_core import EXACT_SUM_BOUND, Moments, cpu_count
+from .matrix_core import Moments, _count_moments, _count_sums, cpu_count
 
 FLOAT_FORMAT = "%.17e"
 
@@ -195,19 +195,10 @@ def _reduce_rows(data: bytes, start: int, stop: int, n: int):
     None when a block is not plain or the range's own running totals break
     k * max(y)^2 < 2^53.  An empty range gives zeros.
     """
-    gram, colsum = np.zeros((n, n)), np.zeros(n)
-    k, ymin, ymax = 0, np.inf, 0.0
     try:
-        for block in _plain_blocks(data, start, stop, n):
-            gram += block.T @ block
-            colsum += np.ones(block.shape[0]) @ block
-            k += block.shape[0]
-            ymin, ymax = min(ymin, block.min()), max(ymax, block.max())
-            if k * int(ymax) ** 2 >= EXACT_SUM_BOUND:
-                return None
+        return _count_sums(_plain_blocks(data, start, stop, n), n)
     except _NotPlain:
         return None
-    return gram, colsum, k, ymin, ymax
 
 
 def _row_cuts(data: bytes, start: int, parts: int) -> list[int]:
@@ -234,17 +225,7 @@ def _reduce_ranges(data: bytes, n: int, cuts: list[int]) -> Moments | None:
             futures = [pool.submit(_reduce_rows, data, a, b, n)
                        for a, b in zip(cuts, cuts[1:])]
         partials = [f.result() for f in futures]
-    if any(p is None for p in partials):
-        return None
-    gram, colsum, k, ymin, ymax = partials[0]
-    for g, c, rows, lo, hi in partials[1:]:
-        gram += g
-        colsum += c
-        k, ymin, ymax = k + rows, min(ymin, lo), max(ymax, hi)
-    if k * int(ymax) ** 2 >= EXACT_SUM_BOUND:
-        return None
-    return Moments(gram, colsum, np.diag(gram).copy(), k, float(ymin),
-                   float(ymax), integral=True)
+    return _count_moments(partials)
 
 
 def read_moments_csv(path) -> Moments | None:

@@ -5,10 +5,14 @@ draw a coefficient matrix, a latent basis, the implied mean matrix, and
 conditionally independent observations.  Per-replication randomness comes
 from a counter-based generator keyed statelessly by (seed, rep_index), so
 replications are reproducible and independent regardless of scheduling.
-Observations are drawn in row blocks, in stream order, into one k x n
-array: numpy's samplers read the stream element by element in C order, so
-the blocks give the same variates as one whole-matrix call, and a
-replication holds only ``theta`` and ``y`` beside small block temporaries.
+A replication is drawn in row blocks, in stream order: each block's means
+are its rows of phi @ m, and numpy's samplers read the stream element by
+element in C order, so the blocks give the same variates as one
+whole-matrix call.  ``generate_scenario`` writes the blocks into whole
+k x n ``theta`` and ``y``.  The replication harness reduces a count
+scenario's blocks to their Moments as they are drawn, so it holds no k x n
+array; the normal and gamma scenarios, whose real-valued sums depend on
+the order of the rows, are reduced from the whole draw.
 """
 
 from __future__ import annotations
@@ -21,7 +25,13 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .latent_space import ScalingConfig, estimate_latent_space
-from .matrix_core import _BLOCK_ENTRIES, DataMatrix, data_moments
+from .matrix_core import (
+    _BLOCK_ENTRIES,
+    DataMatrix,
+    _count_moments,
+    _count_sums,
+    data_moments,
+)
 from .nef_qvf import Family, variance_from_mean
 from .subspace_metrics import RowSpaceBasis, subspace_distance
 from .variance_estimation import dk_error, estimate_dk_qvf, needs_column_sums
@@ -34,6 +44,8 @@ SCENARIO_FAMILIES = {
     "negbin": Family("negbin", 10),
     "gamma": Family("gamma", 10),
 }
+# Scenarios whose observations are counts: nonnegative whole numbers.
+_COUNT_SCENARIOS = frozenset({"poisson", "binomial", "negbin"})
 
 # Counter-based generator; streams derive statelessly from (seed, rep_index).
 RNG_ALGORITHM = "philox4x64:key=(seed<<64)|rep_index"
@@ -89,11 +101,15 @@ class ScenarioConfig:
 class ScenarioDraw:
     """One simulated instance: coefficients, basis, means, data, truths.
 
-    ``theta`` is exactly phi @ m.  For the binomial scenario theta holds
-    success probabilities and the family-level mean is s * theta; everywhere
-    else theta is the mean itself.  ``true_deltas`` are the column averages
-    of the exact observation variances; ``w_exact`` is the finite-k
-    coefficient gram phi^T phi / k.
+    ``theta`` is phi @ m, computed one row block at a time (a block's last
+    bits can differ from those of the whole product, as BLAS picks its
+    kernel by shape).  For the binomial scenario theta holds success
+    probabilities and the family-level mean is s * theta; everywhere else
+    theta is the mean itself.  ``true_deltas`` are the column averages of
+    the exact observation variances; ``w_exact`` is the finite-k
+    coefficient gram phi^T phi / k.  ``theta`` and ``y`` are whole k x n
+    arrays; the replication harness reads count scenarios block by block
+    instead.
     """
 
     scenario: str
@@ -130,59 +146,113 @@ def _draw(rng: np.random.Generator, scenario: str, family: Family,
     return rng.gamma(s, theta / s)
 
 
+def _row_blocks(k: int, n: int):
+    """(start, stop) of each row block of about ``_BLOCK_ENTRIES`` entries.
+
+    A one-row tail joins the block before it: a one-row product takes
+    BLAS's gemv path, whose last bits differ from the matrix product's.
+    """
+    step = max(2, _BLOCK_ENTRIES // n)
+    for start in range(0, k, step):
+        stop = start + step
+        if stop + 1 == k:
+            yield start, k
+            return
+        yield start, min(stop, k)
+
+
+class _Walk:
+    """One replication drawn in row blocks, in stream order.
+
+    Iterating yields ``(start, theta, y)`` for each row block: theta is the
+    block's rows of phi @ m and y its observations, which numpy's samplers
+    draw element by element in C order, so the blocks give the same variates
+    as one whole-matrix call.  ``true_deltas`` is set once every block has
+    been walked.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, rep_index: int):
+        self.cfg = cfg
+        self.family = scenario_family(cfg.scenario)
+        self.rng = rng = rep_rng(cfg.seed, rep_index)
+        k, n, r = cfg.k, cfg.n, cfg.r
+        if cfg.scenario == "normal":
+            self.phi = rng.normal(0.0, 1.0, size=(k, r))
+            self.m = rng.uniform(1.0, 10.0, size=(r, n))
+        elif cfg.scenario == "poisson":
+            self.phi = rng.noncentral_chisquare(9.0, 1.0, size=(k, r))
+            self.m = rng.uniform(1.0, 5.0, size=(r, n))
+        elif cfg.scenario == "binomial":
+            self.phi = rng.uniform(0.05, 0.95, size=(k, r))
+            self.m = _binomial_basis(r, n)
+        else:  # negbin, gamma
+            self.phi = rng.uniform(0.5, 2.0, size=(k, r))
+            self.m = rng.uniform(0.3, 1.5, size=(r, n))
+        self.true_deltas = None
+
+    def __iter__(self):
+        cfg, family = self.cfg, self.family
+        # The column totals of the exact variances run through the blocks
+        # in row order: each block's first row takes the total so far, so
+        # the sums are those of one sequential sum over all k rows.
+        total = None
+        for start, stop in _row_blocks(cfg.k, cfg.n):
+            theta = self.phi[start:stop] @ self.m
+            # Raises OutOfSupportError for means outside the family's region.
+            var = variance_from_mean(
+                family, family.s * theta if cfg.scenario == "binomial" else theta)
+            if total is not None:
+                var[0] += total
+            total = var.sum(axis=0)
+            del var  # freed before the draw, which is the block's peak
+            yield start, theta, _draw(self.rng, cfg.scenario, family, theta)
+        self.true_deltas = total / cfg.k
+
+
 def generate_scenario(cfg: ScenarioConfig, rep_index: int) -> ScenarioDraw:
     """Deterministic draw of one replication of the configured scenario."""
-    rng = rep_rng(cfg.seed, rep_index)
-    k, n, r = cfg.k, cfg.n, cfg.r
-    scenario = cfg.scenario
-    family = scenario_family(scenario)
-
-    if scenario == "normal":
-        phi = rng.normal(0.0, 1.0, size=(k, r))
-        m = rng.uniform(1.0, 10.0, size=(r, n))
-    elif scenario == "poisson":
-        phi = rng.noncentral_chisquare(9.0, 1.0, size=(k, r))
-        m = rng.uniform(1.0, 5.0, size=(r, n))
-    elif scenario == "binomial":
-        phi = rng.uniform(0.05, 0.95, size=(k, r))
-        m = _binomial_basis(r, n)
-    else:  # negbin, gamma
-        phi = rng.uniform(0.5, 2.0, size=(k, r))
-        m = rng.uniform(0.3, 1.5, size=(r, n))
-
-    # Whole, not per block: a one-row product takes BLAS's gemv path,
-    # whose last bits differ from the matrix product's.
-    theta = phi @ m
-    y = np.empty((k, n))
-    # The column totals of the exact variances run through the blocks in
-    # row order: each block's first row takes the total so far, so the
-    # sums are those of one sequential sum over all k rows.
-    total = None
-    step = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, k, step):
-        block = theta[start:start + step]
-        means = family.s * block if scenario == "binomial" else block
-        # Raises OutOfSupportError for means outside the family's region.
-        var = variance_from_mean(family, means)
-        if total is not None:
-            var[0] += total
-        total = var.sum(axis=0)
-        y[start:start + step] = _draw(rng, scenario, family, block)
-    true_deltas = total / k
-
-    w_exact = (phi.T @ phi) / float(k)
-
+    walk = _Walk(cfg, rep_index)
+    theta, y = np.empty((cfg.k, cfg.n)), np.empty((cfg.k, cfg.n))
+    for start, theta_block, y_block in walk:
+        stop = start + theta_block.shape[0]
+        theta[start:stop] = theta_block
+        y[start:stop] = y_block
+    phi = walk.phi
     return ScenarioDraw(
-        scenario=scenario,
+        scenario=cfg.scenario,
         rep_index=int(rep_index),
-        family=family,
+        family=walk.family,
         phi=phi,
-        m=m,
+        m=walk.m,
         theta=theta,
         y=DataMatrix(y),
-        true_deltas=true_deltas,
-        w_exact=w_exact,
+        true_deltas=walk.true_deltas,
+        w_exact=(phi.T @ phi) / float(cfg.k),
     )
+
+
+def _replication_moments(cfg: ScenarioConfig, rep_index: int):
+    """(family, m, Moments, true_deltas) of one replication.
+
+    Count scenarios are reduced block by block as they are drawn, so no
+    k x n array is held: their blocks are whole numbers, and while
+    k * max(y)^2 < 2^53 the block sums are exact and the Moments have the
+    bits of ``data_moments`` of the whole draw.  Past that bound, and for
+    the normal and gamma scenarios, whose real-valued sums depend on the
+    order of the rows, the whole draw is made and reduced.  The stream is
+    keyed by (seed, rep_index), so that draw is the same one.
+    """
+    if cfg.scenario in _COUNT_SCENARIOS:
+        walk = _Walk(cfg, rep_index)
+        # map, unlike a generator expression, keeps no block alive while
+        # the next one is drawn.
+        blocks = map(lambda drawn: drawn[2].astype(np.float64), walk)
+        moments = _count_moments([_count_sums(blocks, cfg.n)])
+        if moments is not None:
+            return walk.family, walk.m, moments, walk.true_deltas
+    draw = generate_scenario(cfg, rep_index)
+    moments = data_moments(draw.y, needs_column_sums(draw.family))
+    return draw.family, draw.m, moments, draw.true_deltas
 
 
 @dataclass(frozen=True)
@@ -271,16 +341,15 @@ class ReplicationStats:
 
 def _run_one(cfg: ScenarioConfig, rep_index: int) -> RepRecord:
     try:
-        draw = generate_scenario(cfg, rep_index)
-        moments = data_moments(draw.y, needs_column_sums(draw.family))
-        dk = estimate_dk_qvf(moments, draw.family)
-        rho = dk_error(dk, draw.true_deltas)
+        family, m, moments, true_deltas = _replication_moments(cfg, rep_index)
+        dk = estimate_dk_qvf(moments, family)
+        rho = dk_error(dk, true_deltas)
 
         est = estimate_latent_space(moments, dk, rank="auto", cfg=cfg.scaling)
         rank = est.rank
         r_hat = rank.r_hat
 
-        m_true = RowSpaceBasis(draw.m)
+        m_true = RowSpaceBasis(m)
         m_fixed = est.eigen.eigenvectors[:, :cfg.r].T
         d_fixed = subspace_distance(m_true, m_fixed)
         if r_hat >= 1:

@@ -13,3 +13,11 @@ def v_value(f, y):
     y = np.asarray(y, dtype=float)
     out = qvf_transform(qvf_coefficients(f), y, y * y)
     return float(out) if out.ndim == 0 else out
+
+
+def assert_moments_equal(got, want):
+    """Every field of two Moments equal, the arrays bit for bit."""
+    for name in ("gram", "colsum", "colsumsq"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.k, got.ymin, got.ymax, got.integral) == \
+        (want.k, want.ymin, want.ymax, want.integral)

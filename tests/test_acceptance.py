@@ -142,6 +142,40 @@ def test_criterion_5_convergence_trends():
             assert trend_ok(med), f"{scenario} correction medians {med}"
 
 
+# Log-log slopes of the medians against k must lie within RATE_BAND of -1/2,
+# the sqrt(k) rate of an average of k terms.  Over seeds 1-5 the slopes ran
+# from -0.544 to -0.424, except negbin's distance, which nears the rate
+# latest: -0.390 to -0.337 over k = 4000 to 64000.
+RATE_BAND = 0.2
+
+
+def log_log_slope(ks, values):
+    return float(np.polyfit(np.log(ks), np.log(values), 1)[0])
+
+
+def test_consistency_rate():
+    with criterion("5b", "median distance and correction error fall at "
+                         "rate k^(-1/2)"):
+        grid = {s: (1000, 4000, 16000)
+                for s in ("poisson", "binomial", "gamma", "normal")}
+        grid["negbin"] = (4000, 16000, 64000)
+        slopes = {}
+        for scenario, ks in grid.items():
+            stats = [run_replications(ScenarioConfig(scenario=scenario, n=15,
+                                                     k=k, r=3, reps=20,
+                                                     seed=SEED), threads=2)
+                     for k in ks]
+            slopes[scenario, "d_fixed"] = log_log_slope(
+                ks, [s.d_median_fixed for s in stats])
+            # The normal correction is exact, so its rho is 0.
+            if scenario != "normal":
+                slopes[scenario, "rho"] = log_log_slope(
+                    ks, [s.rho_median for s in stats])
+        off = {key: round(v, 3) for key, v in slopes.items()
+               if abs(v + 0.5) > RATE_BAND}
+        assert not off, f"slopes outside -1/2 +- {RATE_BAND}: {off}"
+
+
 def test_criterion_6_unbiased_transform_enumeration():
     with criterion(6, "exhaustive E[v(y)] = V[y] for binomial and poisson"):
         start = time.time()

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from family_helpers import assert_moments_equal
 from latentspec import matrixio
 from latentspec.errors import InvalidParameterError
 from latentspec.matrix_core import data_moments
@@ -189,13 +190,6 @@ def test_bad_row_in_late_block_names_file_line(tmp_path, bad, reason, block):
             pytest.raises(InvalidParameterError) as info:
         read_matrix_csv(path)
     assert str(info.value) == f"cannot read {path}: {reason}"
-
-
-def assert_moments_equal(got, want):
-    for name in ("gram", "colsum", "colsumsq"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert (got.k, got.ymin, got.ymax, got.integral) == \
-        (want.k, want.ymin, want.ymax, want.integral)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -6,12 +6,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import latentspec.matrix_core as matrix_core
+import latentspec.simulation as sim
+from family_helpers import assert_moments_equal
 from latentspec.errors import InvalidParameterError
 from latentspec.latent_space import ScalingConfig
-from latentspec.matrix_core import _BLOCK_ENTRIES
+from latentspec.matrix_core import _BLOCK_ENTRIES, data_moments
 from latentspec.simulation import (
     ScenarioConfig,
     _binomial_basis,
+    _replication_moments,
     generate_scenario,
     rep_rng,
     run_replications,
@@ -187,6 +191,65 @@ def test_generate_scenario_holds_two_matrices(scenario, n, k):
     assert peak <= 2.5 * 8 * k * n
 
 
+# ------------------------------------------------- streamed count reduction
+
+COUNT_SCENARIOS = ["poisson", "binomial", "negbin"]
+
+
+def _no_whole_draw(cfg, rep_index):
+    raise AssertionError("the streamed reduction drew the whole matrix")
+
+
+@pytest.mark.parametrize("scenario", COUNT_SCENARIOS)
+@pytest.mark.parametrize("n, k", list(_block_shapes()))
+def test_streamed_moments_match_whole_draw(monkeypatch, scenario, n, k):
+    cfg = ScenarioConfig(scenario=scenario, n=n, k=k, r=min(3, n - 1), seed=41)
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "generate_scenario", _no_whole_draw)
+        family, m, moments, true_deltas = _replication_moments(cfg, 2)
+    draw = generate_scenario(cfg, 2)
+    assert family == draw.family
+    assert np.array_equal(m, draw.m)
+    assert_moments_equal(moments, data_moments(draw.y))
+    assert np.array_equal(true_deltas, draw.true_deltas)
+
+
+@pytest.mark.parametrize("scenario, n, k", [("binomial", 100, 10_000),
+                                             ("poisson", 20, 100_000)])
+def test_streamed_replication_holds_no_matrix(scenario, n, k):
+    # phi (k x r) and a few row blocks: measured at 0.46 (binomial, the
+    # first call in a process) and 0.33 (poisson) of one k x n array,
+    # where the whole draw holds two.
+    cfg = ScenarioConfig(scenario=scenario, n=n, k=k, r=3, seed=1)
+    tracemalloc.start()
+    try:
+        _replication_moments(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * 8 * k * n
+
+
+def test_streamed_moments_fall_back_past_exact_sum_bound(monkeypatch):
+    cfg = ScenarioConfig(scenario="poisson", n=8, k=3000, r=2, seed=17)
+    draw = generate_scenario(cfg, 1)
+    # Below k * max(y)^2, so the running block totals break the bound.
+    bound = cfg.k * int(draw.y.values.max()) ** 2 // 2
+    whole = []
+
+    def spy(cfg, rep_index):
+        whole.append((cfg, rep_index))
+        return generate_scenario(cfg, rep_index)
+
+    monkeypatch.setattr(matrix_core, "EXACT_SUM_BOUND", bound)
+    monkeypatch.setattr(sim, "generate_scenario", spy)
+    _, m, moments, true_deltas = _replication_moments(cfg, 1)
+    assert whole == [(cfg, 1)]
+    assert np.array_equal(m, draw.m)
+    assert_moments_equal(moments, data_moments(draw.y))
+    assert np.array_equal(true_deltas, draw.true_deltas)
+
+
 # ----------------------------------------------------------- reproducibility
 
 def test_draws_bit_reproducible():
@@ -260,14 +323,14 @@ def test_run_replications_normal_correction_is_exact():
 def test_run_replications_records_failures_without_aborting(monkeypatch):
     import latentspec.simulation as sim
 
-    real = sim.generate_scenario
+    real = sim._replication_moments
 
     def flaky(cfg, rep_index):
         if rep_index == 1:
             raise ValueError("boom")
         return real(cfg, rep_index)
 
-    monkeypatch.setattr(sim, "generate_scenario", flaky)
+    monkeypatch.setattr(sim, "_replication_moments", flaky)
     cfg = ScenarioConfig(scenario="poisson", n=8, k=300, r=2, reps=3, seed=16)
     stats = sim.run_replications(cfg)
     assert stats.completed == 2 and stats.failed == 1
