@@ -32,7 +32,7 @@ from .errors import (
     SupportViolationError,
 )
 from .latent_space import ETA_DEFAULT, ScalingConfig, estimate_latent_space
-from .matrix_core import DataMatrix, Moments, cpu_count, data_moments
+from .matrix_core import DataMatrix, Moments, cpu_count, data_moments, median
 from .matrixio import (
     format_value,
     read_matrix_csv,
@@ -41,13 +41,6 @@ from .matrixio import (
     write_matrix_csv,
 )
 from .nef_qvf import FAMILY_KINDS, Family, family_to_dict, in_support
-from .simulation import (
-    RNG_ALGORITHM,
-    ScenarioConfig,
-    rep_rng,
-    run_replications,
-)
-from .subspace_metrics import subspace_distance
 from .variance_estimation import (
     VarianceEstimate,
     check_support,
@@ -56,6 +49,9 @@ from .variance_estimation import (
     explicit,
     needs_column_sums,
 )
+
+# The simulation and subspace_metrics modules are imported by the commands
+# that call them, so that a one-shot estimate does not load them.
 
 EXIT_PARSE = 2
 EXIT_SUPPORT = 3
@@ -291,6 +287,8 @@ def _config_cells(cfg: dict) -> list[dict]:
 
 
 def cmd_simulate(args) -> int:
+    from .simulation import RNG_ALGORITHM, ScenarioConfig, run_replications
+
     threads = _resolve_threads(args.threads)
     try:
         cfg = json.loads(Path(args.config).read_text())
@@ -390,6 +388,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    from .subspace_metrics import subspace_distance
+
     m = read_matrix_csv(args.m)
     m_hat = read_matrix_csv(args.m_hat)
     normalized = False
@@ -421,6 +421,9 @@ def cmd_distance(args) -> int:
 
 
 def cmd_subsample(args) -> int:
+    from .simulation import rep_rng
+    from .subspace_metrics import subspace_distance
+
     if args.reps < 1:
         raise CliError(f"--reps must be at least 1, got {args.reps}")
     data = _load_data(args.data, args.transpose).values
@@ -452,7 +455,7 @@ def cmd_subsample(args) -> int:
             else:
                 dists.append(subspace_distance(m, est.m_hat))
         finite = [v for v in dists if np.isfinite(v)]
-        med = float(np.median(finite)) if finite else float("nan")
+        med = median(finite) if finite else float("nan")
         rows.append([kv, format_value(med)])
 
     out = Path(args.out)
@@ -462,6 +465,8 @@ def cmd_subsample(args) -> int:
 
 
 def cmd_rank_sweep(args) -> int:
+    from .subspace_metrics import subspace_distance
+
     fam = _family_from_args(args)
     if fam is None:
         raise CliError("--family is required")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, LengthMismatchError
-from .matrix_core import SymmetricEigen, as_moments, sym_eigen
+from .matrix_core import SymmetricEigen, as_moments, median, sym_eigen
 from .variance_estimation import VarianceEstimate
 
 ETA_DEFAULT = 1.0 / 3.0
@@ -183,7 +183,7 @@ def calibrate_scale(eigenvalues, k: int,
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
     pos = vals[vals > 0]
-    anchor = float(np.median(pos)) if pos.size else 0.0
+    anchor = median(pos) if pos.size else 0.0
     # A threshold past the float range is inf and counts nothing.
     with np.errstate(over="ignore"):
         thresholds = cfg.c_tilde * GRID * anchor

@@ -10,13 +10,14 @@ digits after the point, which round-trips 64-bit floats exactly.
 
 A plain file, one that holds only the bytes 0-9, ',' and newline after an
 optional byte order mark and header row, with 1 to 15 digits in every cell
-and an optional final newline, is parsed straight from its bytes, in blocks
-of whole rows.  Its cells are integers below 2^53, exact in float64, so the
-result has the same bits as the float parse that reads every other file.
-``read_moments_csv`` reduces a plain file to its Moments without holding
-the matrix: it cuts the rows into one range per CPU, reduces each range
-block by block on its own thread and adds the partial sums.  They are
-exact integers, so the Moments do not depend on the split.
+and an optional final newline, is parsed straight from its bytes.  Its
+rows are cut into one range per CPU, and each range is parsed on its own
+thread, in blocks of whole rows, into its own rows of the result.  The
+cells are integers below 2^53, exact in float64, so the result has the same
+bits as the float parse that reads every other file.  ``read_moments_csv``
+cuts the same ranges but reduces each one, block by block, to its Moments
+without holding the matrix, and adds the partial sums.  They are exact
+integers, so the Moments do not depend on the split.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ FLOAT_FORMAT = "%.17e"
 # and two threads 50, 39, 37 and 37 ms: small blocks keep the second thread
 # waiting on the GIL, large ones miss the cache.
 _BLOCK_BYTES = 1 << 18
-# read_moments_csv gives each thread a row range of at least this many
-# bytes, so a smaller file is reduced on the calling thread alone.
+# Each thread gets a row range of at least this many bytes, so a smaller
+# file is parsed or reduced on the calling thread alone.
 _RANGE_MIN_BYTES = 4 * _BLOCK_BYTES
 # Integers of up to 15 digits are below 2^53, so exact in float64.
 _MAX_DIGITS = 15
@@ -172,21 +173,47 @@ def _plain_blocks(data: bytes, start: int, stop: int, n: int):
         pos = end + 1
 
 
+def _fill_rows(data: bytes, start: int, stop: int, n: int,
+               out: np.ndarray) -> bool:
+    """Parse the plain rows of data[start:stop] into ``out``, which has one
+    row for each of them; False when a block is not plain."""
+    done = 0
+    try:
+        for block in _plain_blocks(data, start, stop, n):
+            out[done:done + block.shape[0]] = block
+            done += block.shape[0]
+    except _NotPlain:
+        return False
+    return True
+
+
+def _read_ranges(data: bytes, n: int, cuts: list[int]) -> np.ndarray | None:
+    """The matrix of the rows between consecutive ``cuts``, each range
+    parsed on its own thread into its own rows of the result; None when a
+    range is not plain."""
+    ends = [0]
+    for a, b in zip(cuts, cuts[1:]):
+        # Only the range at the end of the file can lack a final newline.
+        ends.append(ends[-1] + data.count(b"\n", a, b)
+                    + (a < b and data[b - 1] != ord("\n")))
+    out = np.empty((ends[-1], n))
+    filled = _on_threads(_fill_rows, [
+        (data, a, b, n, out[lo:hi])
+        for a, b, lo, hi in zip(cuts, cuts[1:], ends, ends[1:])
+    ])
+    return out if all(filled) else None
+
+
 def _read_plain(data: bytes) -> np.ndarray | None:
-    """The matrix of a plain file, or None when the file is not plain."""
+    """The matrix of a plain file, or None when the file is not plain.
+
+    The rows are cut into ranges as ``read_moments_csv`` cuts them.
+    """
     layout = _plain_layout(data)
     if layout is None:
         return None
     start, n = layout
-    out = np.empty((data.count(b"\n", start) + (data[-1:] != b"\n"), n))
-    done = 0
-    try:
-        for block in _plain_blocks(data, start, len(data), n):
-            out[done:done + block.shape[0]] = block
-            done += block.shape[0]
-    except _NotPlain:
-        return None
-    return out
+    return _read_ranges(data, n, _row_cuts(data, start))
 
 
 def _reduce_rows(data: bytes, start: int, stop: int, n: int):
@@ -201,10 +228,12 @@ def _reduce_rows(data: bytes, start: int, stop: int, n: int):
         return None
 
 
-def _row_cuts(data: bytes, start: int, parts: int) -> list[int]:
-    """Offsets [start, ..., len(data)] that cut data[start:] into at most
-    ``parts`` row ranges of about equal size, each cut just after a newline."""
+def _row_cuts(data: bytes, start: int) -> list[int]:
+    """Offsets [start, ..., len(data)] that cut data[start:] into row ranges
+    of about equal size, each cut just after a newline: one range per CPU,
+    but none under ``_RANGE_MIN_BYTES``."""
     size = len(data) - start
+    parts = min(cpu_count(), size // _RANGE_MIN_BYTES)
     cuts = [start]
     for i in range(1, parts):
         cut = data.find(b"\n", start + size * i // parts) + 1
@@ -214,18 +243,22 @@ def _row_cuts(data: bytes, start: int, parts: int) -> list[int]:
     return cuts
 
 
+def _on_threads(fn, calls: list[tuple]) -> list:
+    """``[fn(*args) for args in calls]``, each call on its own thread of a
+    per-call pool when there is more than one."""
+    if len(calls) == 1:
+        return [fn(*calls[0])]
+    with ThreadPoolExecutor(len(calls)) as pool:
+        futures = [pool.submit(fn, *args) for args in calls]
+    return [f.result() for f in futures]
+
+
 def _reduce_ranges(data: bytes, n: int, cuts: list[int]) -> Moments | None:
     """The Moments of the rows between consecutive ``cuts``, one range per
     thread, added together; None when a range is not plain or the totals
     break the exact-sum bound."""
-    if len(cuts) == 2:
-        partials = [_reduce_rows(data, cuts[0], cuts[1], n)]
-    else:
-        with ThreadPoolExecutor(len(cuts) - 1) as pool:
-            futures = [pool.submit(_reduce_rows, data, a, b, n)
-                       for a, b in zip(cuts, cuts[1:])]
-        partials = [f.result() for f in futures]
-    return _count_moments(partials)
+    return _count_moments(_on_threads(
+        _reduce_rows, [(data, a, b, n) for a, b in zip(cuts, cuts[1:])]))
 
 
 def read_moments_csv(path) -> Moments | None:
@@ -246,8 +279,7 @@ def read_moments_csv(path) -> Moments | None:
     if layout is None:
         return None
     start, n = layout
-    parts = min(cpu_count(), (len(data) - start) // _RANGE_MIN_BYTES)
-    return _reduce_ranges(data, n, _row_cuts(data, start, parts))
+    return _reduce_ranges(data, n, _row_cuts(data, start))
 
 
 def _parse_block(b: np.ndarray, n: int, out: np.ndarray) -> int | None:

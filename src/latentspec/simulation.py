@@ -31,6 +31,7 @@ from .matrix_core import (
     _count_moments,
     _count_sums,
     data_moments,
+    median,
 )
 from .nef_qvf import Family, variance_from_mean
 from .subspace_metrics import RowSpaceBasis, subspace_distance
@@ -324,7 +325,7 @@ class ReplicationStats:
         ]
         if not vals:
             return float("nan")
-        return float(np.median(np.asarray(vals)))
+        return median(vals)
 
     @property
     def d_median_fixed(self) -> float:

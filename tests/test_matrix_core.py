@@ -1,7 +1,11 @@
 """Matrix primitives: norm, scaled gram, symmetric eigendecomposition."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentspec.errors import (
     InvalidParameterError,
@@ -11,6 +15,7 @@ from latentspec.matrix_core import (
     DataMatrix,
     data_moments,
     frobenius_norm,
+    median,
     sym_eigen,
 )
 
@@ -44,6 +49,49 @@ def test_frobenius_transpose_invariant():
 def test_frobenius_rejects_nan():
     with pytest.raises(InvalidParameterError):
         frobenius_norm([[np.nan, 1.0]])
+
+
+# -------------------------------------------------------------------- median
+
+# Few distinct values, so that draws tie; subnormals; values near the top
+# of the range, whose middle pairs overflow; infinities and NaN.
+_MEDIAN_POOL = [0.0, 1.0, -2.5, 3.0, 5e-324, 1e-310, -2.2e-308, 1.7e308,
+                1.797e308, -1.75e308, np.inf, -np.inf, np.nan]
+# x + 0.0 turns -0.0 into 0.0, and every NaN becomes the default NaN:
+# which signed zero np.median's partition leaves in the middle, and which
+# NaN payload np.sort keeps, are not defined by the values.
+_MEDIAN_VALUES = st.one_of(
+    st.sampled_from(_MEDIAN_POOL),
+    st.floats(width=64).map(lambda x: np.nan if x != x else x + 0.0),
+)
+
+
+def _with_warnings(fn, values):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = float(fn(values))
+    return np.float64(out).tobytes(), [w.category for w in caught]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_MEDIAN_VALUES, min_size=1, max_size=60))
+def test_median_bits_and_warnings_match_numpy_property(values):
+    arr = np.array(values)
+    assert _with_warnings(median, arr) == _with_warnings(np.median, arr)
+
+
+def test_median_bits_and_warnings_match_numpy_seeded():
+    rng = np.random.default_rng(18)
+    draws = [
+        lambda size: rng.normal(size=size),
+        lambda size: rng.integers(0, 4, size).astype(float),
+        lambda size: rng.choice([5e-324, 1e-310, 2.2e-308, 1.0], size),
+        lambda size: rng.uniform(1.6e308, 1.79e308, size),
+    ]
+    for size in range(1, 61):
+        for draw in draws:
+            arr = draw(size)
+            assert _with_warnings(median, arr) == _with_warnings(np.median, arr)
 
 
 # --------------------------------------------------------------- data matrix
