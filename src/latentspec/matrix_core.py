@@ -2,8 +2,9 @@
 
 Provides the Frobenius norm, the median, the second moments of a data
 matrix (its gram, column sums and range, the only statistics the estimators
-read), and a symmetric eigendecomposition (LAPACK ``eigh`` with the eigenvectors' sign
-and order made canonical).  All computation is in 64-bit floating point and
+read), a symmetric eigendecomposition (LAPACK ``eigh`` with the eigenvectors' sign
+and order made canonical), and the helper that runs independent calls on
+threads.  All computation is in 64-bit floating point and
 everything downstream reduces to n x n problems, so no large decompositions
 are ever needed.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from threading import Thread
 
 import numpy as np
 
@@ -36,6 +38,38 @@ def cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         return os.cpu_count() or 1
+
+
+def _on_threads(fn, calls: list[tuple]) -> list:
+    """``[fn(*args) for args in calls]``, with ``calls[0]`` run on the
+    calling thread and each other call on a thread of its own.
+
+    The other threads are started before ``calls[0]`` runs, and a single
+    call starts none.  Results come back in call order.  Every call
+    finishes before an exception is raised, and then the first one in call
+    order is.
+    """
+    results = [None] * len(calls)
+    errors = [None] * len(calls)
+
+    def run(i):
+        try:
+            results[i] = fn(*calls[i])
+        except BaseException as exc:  # re-raised on the calling thread
+            errors[i] = exc
+
+    threads = [Thread(target=run, args=(i,)) for i in range(1, len(calls))]
+    for thread in threads:
+        thread.start()
+    try:
+        results[0] = fn(*calls[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _as_2d_float(a, name="matrix"):

@@ -11,8 +11,9 @@ digits after the point, which round-trips 64-bit floats exactly.
 A plain file, one that holds only the bytes 0-9, ',' and newline after an
 optional byte order mark and header row, with 1 to 15 digits in every cell
 and an optional final newline, is parsed straight from its bytes.  Its
-rows are cut into one range per CPU, and each range is parsed on its own
-thread, in blocks of whole rows, into its own rows of the result.  The
+rows are cut into one range per CPU, and each range is parsed in blocks of
+whole rows into its own rows of the result: the first range on the calling
+thread, each other one on a thread of its own.  The
 cells are integers below 2^53, exact in float64, so the result has the same
 bits as the float parse that reads every other file.  ``read_moments_csv``
 cuts the same ranges but reduces each one, block by block, to its Moments
@@ -26,13 +27,18 @@ import codecs
 import functools
 import io
 import re
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .matrix_core import Moments, _count_moments, _count_sums, cpu_count
+from .matrix_core import (
+    Moments,
+    _count_moments,
+    _count_sums,
+    _on_threads,
+    cpu_count,
+)
 
 FLOAT_FORMAT = "%.17e"
 
@@ -189,8 +195,9 @@ def _fill_rows(data: bytes, start: int, stop: int, n: int,
 
 def _read_ranges(data: bytes, n: int, cuts: list[int]) -> np.ndarray | None:
     """The matrix of the rows between consecutive ``cuts``, each range
-    parsed on its own thread into its own rows of the result; None when a
-    range is not plain."""
+    parsed into its own rows of the result, the first on the calling thread
+    and each other one on a thread of its own; None when a range is not
+    plain."""
     ends = [0]
     for a, b in zip(cuts, cuts[1:]):
         # Only the range at the end of the file can lack a final newline.
@@ -243,20 +250,11 @@ def _row_cuts(data: bytes, start: int) -> list[int]:
     return cuts
 
 
-def _on_threads(fn, calls: list[tuple]) -> list:
-    """``[fn(*args) for args in calls]``, each call on its own thread of a
-    per-call pool when there is more than one."""
-    if len(calls) == 1:
-        return [fn(*calls[0])]
-    with ThreadPoolExecutor(len(calls)) as pool:
-        futures = [pool.submit(fn, *args) for args in calls]
-    return [f.result() for f in futures]
-
-
 def _reduce_ranges(data: bytes, n: int, cuts: list[int]) -> Moments | None:
-    """The Moments of the rows between consecutive ``cuts``, one range per
-    thread, added together; None when a range is not plain or the totals
-    break the exact-sum bound."""
+    """The Moments of the rows between consecutive ``cuts``, the first range
+    reduced on the calling thread and each other one on a thread of its own,
+    added together; None when a range is not plain or the totals break the
+    exact-sum bound."""
     return _count_moments(_on_threads(
         _reduce_rows, [(data, a, b, n) for a, b in zip(cuts, cuts[1:])]))
 
@@ -266,9 +264,9 @@ def read_moments_csv(path) -> Moments | None:
 
     The k x n matrix is never held.  The rows are cut into one contiguous
     range per CPU, but into no range under ``_RANGE_MIN_BYTES``, and each
-    range is reduced on its own thread, block by block, to its gram,
-    column sums and range.  Plain cells are nonnegative
-    integers, so while k * max(y)^2 < 2^53 every partial sum is an integer
+    range is reduced block by block to its gram, column sums and range: the
+    first on the calling thread, each other one on a thread of its own.
+    Plain cells are nonnegative integers, so while k * max(y)^2 < 2^53 every partial sum is an integer
     below 2^53, exact in float64, and the totals have the bits of the
     whole-matrix ones whatever the split.  None when the file is not plain
     or its counts break that bound; ``read_matrix_csv`` then reads the

@@ -12,13 +12,12 @@ whole-matrix call.  ``generate_scenario`` writes the blocks into whole
 k x n ``theta`` and ``y``.  The replication harness reduces a count
 scenario's blocks to their Moments as they are drawn, so it holds no k x n
 array; the normal and gamma scenarios, whose real-valued sums depend on
-the order of the rows, are reduced from the whole draw.
+the order of the rows, are reduced from a whole ``y``, with no ``theta``.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +29,7 @@ from .matrix_core import (
     DataMatrix,
     _count_moments,
     _count_sums,
+    _on_threads,
     data_moments,
     median,
 )
@@ -109,8 +109,8 @@ class ScenarioDraw:
     theta is the mean itself.  ``true_deltas`` are the column averages of
     the exact observation variances; ``w_exact`` is the finite-k
     coefficient gram phi^T phi / k.  ``theta`` and ``y`` are whole k x n
-    arrays; the replication harness reads count scenarios block by block
-    instead.
+    arrays; the replication harness draws no ``theta`` and reads count
+    scenarios block by block.
     """
 
     scenario: str
@@ -240,8 +240,9 @@ def _replication_moments(cfg: ScenarioConfig, rep_index: int):
     k * max(y)^2 < 2^53 the block sums are exact and the Moments have the
     bits of ``data_moments`` of the whole draw.  Past that bound, and for
     the normal and gamma scenarios, whose real-valued sums depend on the
-    order of the rows, the whole draw is made and reduced.  The stream is
-    keyed by (seed, rep_index), so that draw is the same one.
+    order of the rows, the blocks are written into one k x n ``y``, which
+    is reduced whole.  The stream is keyed by (seed, rep_index), so that
+    draw is the same one.
     """
     if cfg.scenario in _COUNT_SCENARIOS:
         walk = _Walk(cfg, rep_index)
@@ -251,9 +252,12 @@ def _replication_moments(cfg: ScenarioConfig, rep_index: int):
         moments = _count_moments([_count_sums(blocks, cfg.n)])
         if moments is not None:
             return walk.family, walk.m, moments, walk.true_deltas
-    draw = generate_scenario(cfg, rep_index)
-    moments = data_moments(draw.y, needs_column_sums(draw.family))
-    return draw.family, draw.m, moments, draw.true_deltas
+    walk = _Walk(cfg, rep_index)
+    y = np.empty((cfg.k, cfg.n))
+    for start, _, block in walk:
+        y[start:start + block.shape[0]] = block
+    moments = data_moments(y, needs_column_sums(walk.family))
+    return walk.family, walk.m, moments, walk.true_deltas
 
 
 @dataclass(frozen=True)
@@ -353,7 +357,9 @@ def _run_one(cfg: ScenarioConfig, rep_index: int) -> RepRecord:
         m_true = RowSpaceBasis(m)
         m_fixed = est.eigen.eigenvectors[:, :cfg.r].T
         d_fixed = subspace_distance(m_true, m_fixed)
-        if r_hat >= 1:
+        if r_hat == cfg.r:  # m_hat holds the rows of m_fixed
+            d_auto = d_fixed
+        elif r_hat >= 1:
             d_auto = subspace_distance(m_true, est.m_hat)
         else:
             d_auto = float("nan")
@@ -375,10 +381,20 @@ def _run_one(cfg: ScenarioConfig, rep_index: int) -> RepRecord:
 def run_replications(cfg: ScenarioConfig, threads: int = 1) -> ReplicationStats:
     """Run all replications of a cell, collecting ordered per-rep records.
 
-    Replications are independent and run on a pool of ``threads`` workers.
-    Records are keyed by rep index, so results do not depend on scheduling.
-    Failures are recorded per replication without aborting.
+    Replications are independent and run on ``min(threads, reps)`` workers,
+    the calling thread among them, so one thread starts none.  Worker w
+    runs reps w, w + workers, ...; each replication's stream is keyed by
+    (seed, rep index) and the records are put back in rep order, so
+    results do not depend on ``threads``.  Failures are recorded per
+    replication without aborting.
     """
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        records = pool.map(lambda i: _run_one(cfg, i), range(cfg.reps))
-        return ReplicationStats(config=cfg, records=tuple(records))
+    workers = max(1, min(threads, cfg.reps))
+
+    def run(first):
+        return [_run_one(cfg, i) for i in range(first, cfg.reps, workers)]
+
+    records = [None] * cfg.reps
+    for first, strided in enumerate(
+            _on_threads(run, [(w,) for w in range(workers)])):
+        records[first::workers] = strided
+    return ReplicationStats(config=cfg, records=tuple(records))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import latentspec
-from latentspec import cli, matrixio
+from latentspec import cli, matrix_core, matrixio
 from latentspec.cli import build_parser, main
 from latentspec.errors import (
     LatentSpecError,
@@ -536,16 +536,16 @@ def test_leek_estimate_builds_one_gram(counts, tmp_path, monkeypatch, name):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Worker counts of the thread pools that matrixio starts."""
-    sizes = []
-    real = matrixio.ThreadPoolExecutor
+    """The threads that matrixio starts besides the calling thread."""
+    started = []
 
-    def spy(workers):
-        sizes.append(workers)
-        return real(workers)
+    class Spy(matrix_core.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    monkeypatch.setattr(matrixio, "ThreadPoolExecutor", spy)
-    return sizes
+    monkeypatch.setattr(matrix_core, "Thread", Spy)
+    return started
 
 
 def test_estimate_bit_equal_on_one_and_three_cpus(tmp_path, monkeypatch, pools):
@@ -561,7 +561,7 @@ def test_estimate_bit_equal_on_one_and_three_cpus(tmp_path, monkeypatch, pools):
         monkeypatch.setattr(matrixio, "cpu_count", lambda: cpus)
         runs.append(run_cli(["estimate", str(data), "--family", "poisson",
                              "--rank", "auto"], tmp_path / f"cpus{cpus}"))
-    assert pools == [3]
+    assert len(pools) == 2
     assert runs[0] == runs[1] and runs[0][0] == 0
 
 
@@ -697,14 +697,14 @@ def test_simulate_summary_matches_library(tmp_path):
 def test_simulate_summary_counts_failed_reps(tmp_path, monkeypatch):
     import latentspec.simulation as sim
 
-    real = sim.generate_scenario
+    real = sim._replication_moments
 
     def flaky(cfg, rep_index):
         if rep_index == 2:
             raise ValueError("boom")
         return real(cfg, rep_index)
 
-    monkeypatch.setattr(sim, "generate_scenario", flaky)
+    monkeypatch.setattr(sim, "_replication_moments", flaky)
     # At k=2 most gamma replications find no calibration plateau.
     path, _ = write_sim_config(tmp_path, scenario="gamma", k=2)
     assert main(["simulate", str(path)]) == 0

@@ -1,5 +1,8 @@
-"""Matrix primitives: norm, scaled gram, symmetric eigendecomposition."""
+"""Matrix primitives: norm, scaled gram, symmetric eigendecomposition, and
+the helper that runs calls on threads."""
 
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -11,8 +14,10 @@ from latentspec.errors import (
     InvalidParameterError,
     NotSymmetricError,
 )
+import latentspec.matrix_core as matrix_core
 from latentspec.matrix_core import (
     DataMatrix,
+    _on_threads,
     data_moments,
     frobenius_norm,
     median,
@@ -284,3 +289,52 @@ def test_sorted_eigenvalue_gap_bounded_by_frobenius_gap():
         la = sym_eigen(a).eigenvalues
         lb = sym_eigen(b).eigenvalues
         assert np.linalg.norm(la - lb) <= frobenius_norm(a - b) + 1e-9
+
+
+# ---------------------------------------------------------------- threads
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads that ``_on_threads`` starts."""
+    threads = []
+
+    class Spy(matrix_core.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    monkeypatch.setattr(matrix_core, "Thread", Spy)
+    return threads
+
+
+def test_on_threads_returns_results_in_call_order():
+    def late_first(i):
+        time.sleep(0.01 * (5 - i))
+        return i * i
+
+    assert _on_threads(late_first, [(i,) for i in range(5)]) == [0, 1, 4, 9, 16]
+
+
+def test_on_threads_runs_the_first_call_on_the_caller(started):
+    caller = threading.get_ident()
+    assert _on_threads(threading.get_ident, [()]) == [caller]
+    assert started == []
+    idents = _on_threads(threading.get_ident, [(), (), ()])
+    assert idents[0] == caller and caller not in idents[1:]
+    assert len(started) == 2 and not any(t.is_alive() for t in started)
+
+
+@pytest.mark.parametrize("raises", [(1,), (0,), (2, 1)])
+def test_on_threads_raises_after_every_call_finished(raises):
+    finished = []
+
+    def call(i):
+        # Call 2 raises before call 1, and call 3 ends last.
+        time.sleep((0, 0.04, 0.02, 0.06)[i])
+        if i in raises:
+            raise ValueError(f"call {i}")
+        finished.append(i)
+
+    with pytest.raises(ValueError, match=f"call {min(raises)}"):
+        _on_threads(call, [(i,) for i in range(4)])
+    assert sorted(finished) == sorted(set(range(4)) - set(raises))

@@ -29,7 +29,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     rc = latentspec.cli.main(["estimate", sys.argv[1], "--family", "poisson",
                               "--out", sys.argv[2]])
 assert rc == 0, rc
-for name in ("numpy.ma", "latentspec.simulation", "latentspec.subspace_metrics"):
+for name in ("numpy.ma", "latentspec.simulation", "latentspec.subspace_metrics",
+             "concurrent.futures", "logging"):
     if name in sys.modules:
         print(name)
 

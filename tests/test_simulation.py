@@ -24,7 +24,7 @@ from latentspec.simulation import (
 from latentspec.subspace_metrics import subspace_distance
 from latentspec.latent_space import estimate_latent_space
 from latentspec.nef_qvf import variance_from_mean, binomial
-from latentspec.variance_estimation import estimate_dk_qvf
+from latentspec.variance_estimation import estimate_dk_qvf, needs_column_sums
 
 
 # ------------------------------------------------------------------- config
@@ -191,6 +191,21 @@ def test_generate_scenario_holds_two_matrices(scenario, n, k):
     assert peak <= 2.5 * 8 * k * n
 
 
+@pytest.mark.parametrize("scenario, bound", [("normal", 1.5), ("gamma", 2.2)])
+def test_whole_replication_holds_no_theta(scenario, bound):
+    # y is the only k x n array besides gamma's column sort: measured at
+    # 1.45 (normal, the first call in a process) and 2.09 (gamma) of one.
+    n, k = 100, 10_000
+    cfg = ScenarioConfig(scenario=scenario, n=n, k=k, r=3, seed=1)
+    tracemalloc.start()
+    try:
+        _replication_moments(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * k * n
+
+
 # ------------------------------------------------- streamed count reduction
 
 COUNT_SCENARIOS = ["poisson", "binomial", "negbin"]
@@ -200,7 +215,7 @@ def _no_whole_draw(cfg, rep_index):
     raise AssertionError("the streamed reduction drew the whole matrix")
 
 
-@pytest.mark.parametrize("scenario", COUNT_SCENARIOS)
+@pytest.mark.parametrize("scenario", ["normal", "gamma"] + COUNT_SCENARIOS)
 @pytest.mark.parametrize("n, k", list(_block_shapes()))
 def test_streamed_moments_match_whole_draw(monkeypatch, scenario, n, k):
     cfg = ScenarioConfig(scenario=scenario, n=n, k=k, r=min(3, n - 1), seed=41)
@@ -210,7 +225,7 @@ def test_streamed_moments_match_whole_draw(monkeypatch, scenario, n, k):
     draw = generate_scenario(cfg, 2)
     assert family == draw.family
     assert np.array_equal(m, draw.m)
-    assert_moments_equal(moments, data_moments(draw.y))
+    assert_moments_equal(moments, data_moments(draw.y, needs_column_sums(family)))
     assert np.array_equal(true_deltas, draw.true_deltas)
 
 
@@ -237,14 +252,14 @@ def test_streamed_moments_fall_back_past_exact_sum_bound(monkeypatch):
     bound = cfg.k * int(draw.y.values.max()) ** 2 // 2
     whole = []
 
-    def spy(cfg, rep_index):
-        whole.append((cfg, rep_index))
-        return generate_scenario(cfg, rep_index)
+    def spy(y, sums=True):
+        whole.append(y.shape)
+        return data_moments(y, sums)
 
     monkeypatch.setattr(matrix_core, "EXACT_SUM_BOUND", bound)
-    monkeypatch.setattr(sim, "generate_scenario", spy)
+    monkeypatch.setattr(sim, "data_moments", spy)
     _, m, moments, true_deltas = _replication_moments(cfg, 1)
-    assert whole == [(cfg, 1)]
+    assert whole == [(cfg.k, cfg.n)]
     assert np.array_equal(m, draw.m)
     assert_moments_equal(moments, data_moments(draw.y))
     assert np.array_equal(true_deltas, draw.true_deltas)
@@ -310,8 +325,25 @@ def test_run_replications_counts_and_medians():
 def test_run_replications_thread_invariant():
     cfg = ScenarioConfig(scenario="gamma", n=8, k=400, r=2, reps=8, seed=13)
     a = run_replications(cfg, threads=1)
-    b = run_replications(cfg, threads=4)
-    assert a.records == b.records
+    assert [rec.rep_index for rec in a.records] == list(range(cfg.reps))
+    for threads in (2, 3, 9):
+        assert run_replications(cfg, threads=threads).records == a.records
+
+
+def test_run_one_reuses_the_fixed_distance_at_the_true_rank(monkeypatch):
+    calls = []
+
+    def spy(m, m_hat):
+        calls.append(m_hat.shape[0])
+        return subspace_distance(m, m_hat)
+
+    monkeypatch.setattr(sim, "subspace_distance", spy)
+    cfg = ScenarioConfig(scenario="normal", n=8, k=400, r=2, reps=3, seed=14)
+    for rep in range(cfg.reps):
+        calls.clear()
+        rec = sim._run_one(cfg, rep)
+        assert rec.r_hat == cfg.r and rec.d_auto == rec.d_fixed
+        assert calls == [cfg.r]
 
 
 def test_run_replications_normal_correction_is_exact():
