@@ -382,19 +382,27 @@ def run_replications(cfg: ScenarioConfig, threads: int = 1) -> ReplicationStats:
     """Run all replications of a cell, collecting ordered per-rep records.
 
     Replications are independent and run on ``min(threads, reps)`` workers,
-    the calling thread among them, so one thread starts none.  Worker w
-    runs reps w, w + workers, ...; each replication's stream is keyed by
-    (seed, rep index) and the records are put back in rep order, so
-    results do not depend on ``threads``.  Failures are recorded per
-    replication without aborting.
+    the calling thread among them, so one thread starts none.  Each worker
+    takes the next rep index from one shared iterator until none is left;
+    each replication's stream is keyed by (seed, rep index) and the records
+    are put back in rep order, so results do not depend on ``threads``.
+    Failures are recorded per replication without aborting.
     """
     workers = max(1, min(threads, cfg.reps))
+    pending = iter(range(cfg.reps))
 
-    def run(first):
-        return [_run_one(cfg, i) for i in range(first, cfg.reps, workers)]
+    def run():
+        try:
+            return [(i, _run_one(cfg, i)) for i in pending]
+        except BaseException:  # e.g. Ctrl-C on the calling thread
+            # Empty the shared iterator, so every other worker stops after
+            # the replication it is running.
+            for _ in pending:
+                pass
+            raise
 
     records = [None] * cfg.reps
-    for first, strided in enumerate(
-            _on_threads(run, [(w,) for w in range(workers)])):
-        records[first::workers] = strided
+    for done in _on_threads(run, [()] * workers):
+        for i, record in done:
+            records[i] = record
     return ReplicationStats(config=cfg, records=tuple(records))

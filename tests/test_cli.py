@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import latentspec
-from latentspec import cli, matrix_core, matrixio
+from latentspec import cli, matrixio
 from latentspec.cli import build_parser, main
 from latentspec.errors import (
     LatentSpecError,
@@ -534,21 +534,7 @@ def test_leek_estimate_builds_one_gram(counts, tmp_path, monkeypatch, name):
     assert (len(built), len(solved)) == (1, 2)
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """The threads that matrixio starts besides the calling thread."""
-    started = []
-
-    class Spy(matrix_core.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(matrix_core, "Thread", Spy)
-    return started
-
-
-def test_estimate_bit_equal_on_one_and_three_cpus(tmp_path, monkeypatch, pools):
+def test_estimate_bit_equal_on_one_and_three_cpus(tmp_path, monkeypatch, started):
     # Over 3 ranges of the default minimum, so three CPUs give three ranges.
     rng = np.random.default_rng(12)
     theta = rng.uniform(1, 3, size=(110_000, 2)) @ rng.uniform(0.2, 1, size=(2, 16))
@@ -561,18 +547,18 @@ def test_estimate_bit_equal_on_one_and_three_cpus(tmp_path, monkeypatch, pools):
         monkeypatch.setattr(matrixio, "cpu_count", lambda: cpus)
         runs.append(run_cli(["estimate", str(data), "--family", "poisson",
                              "--rank", "auto"], tmp_path / f"cpus{cpus}"))
-    assert len(pools) == 2
+    assert len(started) == 2
     assert runs[0] == runs[1] and runs[0][0] == 0
 
 
 def test_file_below_range_minimum_starts_no_pool(counts, tmp_path, monkeypatch,
-                                                 pools):
+                                                 started):
     _, plain, _ = counts
     assert plain.stat().st_size < 2 * matrixio._RANGE_MIN_BYTES
     monkeypatch.setattr(matrixio, "cpu_count", lambda: 4)
     assert main(["estimate", str(plain), "--family", "poisson",
                  "--out", str(tmp_path / "o")]) == 0
-    assert pools == []
+    assert started == []
 
 
 # -------------------------------------------------------------------- distance

@@ -293,20 +293,6 @@ def test_sorted_eigenvalue_gap_bounded_by_frobenius_gap():
 
 # ---------------------------------------------------------------- threads
 
-@pytest.fixture
-def started(monkeypatch):
-    """The threads that ``_on_threads`` starts."""
-    threads = []
-
-    class Spy(matrix_core.Thread):
-        def start(self):
-            threads.append(self)
-            super().start()
-
-    monkeypatch.setattr(matrix_core, "Thread", Spy)
-    return threads
-
-
 def test_on_threads_returns_results_in_call_order():
     def late_first(i):
         time.sleep(0.01 * (5 - i))

@@ -1,6 +1,8 @@
 """Scenario generators and the replication harness."""
 
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -193,10 +195,13 @@ def test_generate_scenario_holds_two_matrices(scenario, n, k):
 
 @pytest.mark.parametrize("scenario, bound", [("normal", 1.5), ("gamma", 2.2)])
 def test_whole_replication_holds_no_theta(scenario, bound):
-    # y is the only k x n array besides gamma's column sort: measured at
-    # 1.45 (normal, the first call in a process) and 2.09 (gamma) of one.
+    # y is the only k x n array besides gamma's column sort; phi and a few
+    # row blocks of 2^16 entries add about 0.35 of one.  Measured at 1.36
+    # (normal) and 2.09 (gamma) of one k x n array.  The first call in a
+    # process adds about 0.1 of one-time allocations, so it is made first.
     n, k = 100, 10_000
     cfg = ScenarioConfig(scenario=scenario, n=n, k=k, r=3, seed=1)
+    _replication_moments(cfg, 0)
     tracemalloc.start()
     try:
         _replication_moments(cfg, 0)
@@ -212,14 +217,30 @@ COUNT_SCENARIOS = ["poisson", "binomial", "negbin"]
 
 
 def _no_whole_draw(cfg, rep_index):
-    raise AssertionError("the streamed reduction drew the whole matrix")
+    raise AssertionError("the streamed reduction fell back to the whole matrix")
 
 
-@pytest.mark.parametrize("scenario", ["normal", "gamma"] + COUNT_SCENARIOS)
+@pytest.mark.parametrize("scenario", COUNT_SCENARIOS)
 @pytest.mark.parametrize("n, k", list(_block_shapes()))
 def test_streamed_moments_match_whole_draw(monkeypatch, scenario, n, k):
     cfg = ScenarioConfig(scenario=scenario, n=n, k=k, r=min(3, n - 1), seed=41)
     with monkeypatch.context() as patch:
+        # Past the exact-sum bound the walked y is reduced by data_moments.
+        patch.setattr(sim, "data_moments", _no_whole_draw)
+        family, m, moments, true_deltas = _replication_moments(cfg, 2)
+    draw = generate_scenario(cfg, 2)
+    assert family == draw.family
+    assert np.array_equal(m, draw.m)
+    assert_moments_equal(moments, data_moments(draw.y))
+    assert np.array_equal(true_deltas, draw.true_deltas)
+
+
+@pytest.mark.parametrize("scenario", ["normal", "gamma"])
+@pytest.mark.parametrize("n, k", list(_block_shapes()))
+def test_walked_moments_match_whole_draw(monkeypatch, scenario, n, k):
+    cfg = ScenarioConfig(scenario=scenario, n=n, k=k, r=min(3, n - 1), seed=41)
+    with monkeypatch.context() as patch:
+        # The walk writes y alone, with no theta or w_exact.
         patch.setattr(sim, "generate_scenario", _no_whole_draw)
         family, m, moments, true_deltas = _replication_moments(cfg, 2)
     draw = generate_scenario(cfg, 2)
@@ -322,12 +343,38 @@ def test_run_replications_counts_and_medians():
     assert np.isfinite(stats.rho_median)
 
 
-def test_run_replications_thread_invariant():
+def test_run_replications_thread_invariant(started):
     cfg = ScenarioConfig(scenario="gamma", n=8, k=400, r=2, reps=8, seed=13)
     a = run_replications(cfg, threads=1)
     assert [rec.rep_index for rec in a.records] == list(range(cfg.reps))
+    assert started == []
     for threads in (2, 3, 9):
         assert run_replications(cfg, threads=threads).records == a.records
+        assert len(started) == min(threads, cfg.reps) - 1
+        started.clear()
+
+
+def test_run_replications_stop_soon_after_an_interrupt(monkeypatch, started):
+    # Ctrl-C lands on the calling thread; the other worker finishes the
+    # replication it is running and takes no more.
+    caller = threading.get_ident()
+    ran = []
+
+    def run_one(cfg, rep_index):
+        if threading.get_ident() == caller:
+            time.sleep(0.01)
+            raise KeyboardInterrupt
+        time.sleep(0.05)
+        ran.append(rep_index)
+        return sim.RepRecord(rep_index=rep_index)
+
+    monkeypatch.setattr(sim, "_run_one", run_one)
+    cfg = ScenarioConfig(scenario="normal", n=8, k=400, r=2, reps=50, seed=15)
+    with pytest.raises(KeyboardInterrupt):
+        run_replications(cfg, threads=2)
+    assert len(started) == 1 and not started[0].is_alive()
+    # A fixed half of the reps per worker would run 25 here.
+    assert len(ran) < 10
 
 
 def test_run_one_reuses_the_fixed_distance_at_the_true_rank(monkeypatch):
