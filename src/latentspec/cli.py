@@ -271,19 +271,17 @@ def cmd_estimate(args) -> int:
 
 
 def _config_cells(cfg: dict) -> list[dict]:
-    def listify(v):
-        return v if isinstance(v, list) else [v]
+    """The cross product of the config's scenario, n, k and r lists; a
+    single value is a list of one, and an empty list is an error."""
+    def values(key):
+        v = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
+        if not v:
+            raise CliError(f"config {key} must not be an empty list")
+        return v if key == "scenario" else [_config_int(x, key) for x in v]
 
-    cells = []
-    for scenario in listify(cfg["scenario"]):
-        for n in listify(cfg["n"]):
-            for k in listify(cfg["k"]):
-                for r in listify(cfg["r"]):
-                    cells.append(
-                        {"scenario": scenario, "n": _config_int(n, "n"),
-                         "k": _config_int(k, "k"), "r": _config_int(r, "r")}
-                    )
-    return cells
+    scenarios, ns, ks, rs = map(values, ("scenario", "n", "k", "r"))
+    return [{"scenario": scenario, "n": n, "k": k, "r": r}
+            for scenario in scenarios for n in ns for k in ks for r in rs]
 
 
 def cmd_simulate(args) -> int:

@@ -10,13 +10,11 @@ digits after the point, which round-trips 64-bit floats exactly.
 
 A plain file, one that holds only the bytes 0-9, ',' and newline after an
 optional byte order mark and header row, with 1 to 15 digits in every cell
-and an optional final newline, is parsed straight from its bytes.  Its
-rows are cut into one range per CPU, and each range is parsed in blocks of
-whole rows into its own rows of the result: the first range on the calling
-thread, each other one on a thread of its own.  The
-cells are integers below 2^53, exact in float64, so the result has the same
-bits as the float parse that reads every other file.  ``read_moments_csv``
-cuts the same ranges but reduces each one, block by block, to its Moments
+and an optional final newline, is parsed straight from its bytes, in blocks
+of whole rows on the calling thread.  The cells are integers below 2^53,
+exact in float64, so the result has the same bits as the float parse that
+reads every other file.  Only ``read_moments_csv`` cuts the rows into
+ranges, one per CPU: it reduces each range, block by block, to its Moments
 without holding the matrix, and adds the partial sums.  They are exact
 integers, so the Moments do not depend on the split.
 """
@@ -50,8 +48,8 @@ FLOAT_FORMAT = "%.17e"
 # and two threads 50, 39, 37 and 37 ms: small blocks keep the second thread
 # waiting on the GIL, large ones miss the cache.
 _BLOCK_BYTES = 1 << 18
-# Each thread gets a row range of at least this many bytes, so a smaller
-# file is parsed or reduced on the calling thread alone.
+# ``read_moments_csv`` gives each thread a row range of at least this many
+# bytes, so a smaller file is reduced on the calling thread alone.
 _RANGE_MIN_BYTES = 4 * _BLOCK_BYTES
 # Integers of up to 15 digits are below 2^53, so exact in float64.
 _MAX_DIGITS = 15
@@ -179,48 +177,23 @@ def _plain_blocks(data: bytes, start: int, stop: int, n: int):
         pos = end + 1
 
 
-def _fill_rows(data: bytes, start: int, stop: int, n: int,
-               out: np.ndarray) -> bool:
-    """Parse the plain rows of data[start:stop] into ``out``, which has one
-    row for each of them; False when a block is not plain."""
-    done = 0
-    try:
-        for block in _plain_blocks(data, start, stop, n):
-            out[done:done + block.shape[0]] = block
-            done += block.shape[0]
-    except _NotPlain:
-        return False
-    return True
-
-
-def _read_ranges(data: bytes, n: int, cuts: list[int]) -> np.ndarray | None:
-    """The matrix of the rows between consecutive ``cuts``, each range
-    parsed into its own rows of the result, the first on the calling thread
-    and each other one on a thread of its own; None when a range is not
-    plain."""
-    ends = [0]
-    for a, b in zip(cuts, cuts[1:]):
-        # Only the range at the end of the file can lack a final newline.
-        ends.append(ends[-1] + data.count(b"\n", a, b)
-                    + (a < b and data[b - 1] != ord("\n")))
-    out = np.empty((ends[-1], n))
-    filled = _on_threads(_fill_rows, [
-        (data, a, b, n, out[lo:hi])
-        for a, b, lo, hi in zip(cuts, cuts[1:], ends, ends[1:])
-    ])
-    return out if all(filled) else None
-
-
 def _read_plain(data: bytes) -> np.ndarray | None:
-    """The matrix of a plain file, or None when the file is not plain.
-
-    The rows are cut into ranges as ``read_moments_csv`` cuts them.
-    """
+    """The matrix of a plain file, parsed block by block on the calling
+    thread, or None when the file is not plain."""
     layout = _plain_layout(data)
     if layout is None:
         return None
     start, n = layout
-    return _read_ranges(data, n, _row_cuts(data, start))
+    # One row per newline, and one more when the last newline is missing.
+    out = np.empty((data.count(b"\n", start) + (data[-1:] != b"\n"), n))
+    done = 0
+    try:
+        for block in _plain_blocks(data, start, len(data), n):
+            out[done:done + block.shape[0]] = block
+            done += block.shape[0]
+    except _NotPlain:
+        return None
+    return out
 
 
 def _reduce_rows(data: bytes, start: int, stop: int, n: int):

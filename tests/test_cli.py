@@ -710,6 +710,20 @@ def test_simulate_guardrails(tmp_path):
     assert main(["simulate", str(path)]) == 2
 
 
+@pytest.mark.parametrize("overrides, code", [
+    ({"n": 101}, 2),
+    ({"k": 10001}, 2),
+    ({"reps": 101}, 2),
+    ({"n": 100, "k": 300, "r": 2, "reps": 1}, 0),
+    ({"k": 10000, "reps": 1}, 0),
+    ({"k": 300, "reps": 100}, 0),
+], ids=["n-101", "k-10001", "reps-101", "n-100", "k-10000", "reps-100"])
+def test_simulate_guardrail_edges(tmp_path, overrides, code):
+    path, _ = write_sim_config(tmp_path, **overrides)
+    assert main(["simulate", str(path)]) == code
+    assert (tmp_path / "sim").exists() == (code == 0)
+
+
 def test_simulate_full_flag_lifts_guardrail(tmp_path):
     path, _ = write_sim_config(tmp_path, k=12000, reps=2)
     assert main(["simulate", str(path)]) == 2
@@ -745,6 +759,10 @@ def test_simulate_bad_config(tmp_path):
     ("c_tilde", "2"),
     ("eta", True),
     ("scale", "1.5"),
+    ("scenario", []),
+    ("n", []),
+    ("k", []),
+    ("r", []),
 ])
 def test_simulate_malformed_field_exits_2(tmp_path, capsys, field, value):
     if field in ("scale", "eta", "c_tilde"):

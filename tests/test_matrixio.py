@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from family_helpers import assert_moments_equal
 from latentspec import matrixio
+from latentspec.cli import main
 from latentspec.errors import InvalidParameterError
 from latentspec.matrix_core import data_moments
 from latentspec.matrixio import read_matrix_csv
@@ -359,76 +360,37 @@ def test_read_moments_splits_one_range_per_cpu(tmp_path):
     assert_moments_equal(got, data_moments(y.astype(float)))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_split_parse_bit_equal_to_one_range_property(data):
-    """The matrix of 1-4 row ranges, each parsed on its own thread into its
-    own rows, against one range and against the float parse; cuts may fall
-    right after the header (an empty first range), at the last row, or at
-    the end."""
-    rows = data.draw(st.integers(1, 8))
-    cols = data.draw(st.integers(1, 5))
-    cells = data.draw(st.lists(_DIGITS, min_size=rows * cols,
-                               max_size=rows * cols))
-    header = data.draw(st.booleans())
-    text = "\n".join(
-        ",".join(cells[i * cols:(i + 1) * cols]) for i in range(rows))
-    if header:
-        text = ",".join(f"s{j}" for j in range(cols)) + "\n" + text
-    if data.draw(st.booleans()):
-        text += "\n"
-    raw = b"\xef\xbb\xbf" * data.draw(st.booleans()) + text.encode()
-    start, n = matrixio._plain_layout(raw)
-    row_starts = [start] + [i + 1 for i in range(start, len(raw) - 1)
-                            if raw[i] == ord("\n")]
-    inner = data.draw(st.lists(st.sampled_from(row_starts + [len(raw)]),
-                               min_size=0, max_size=3))
-    cuts = [start] + sorted(inner) + [len(raw)]
-    block = data.draw(st.integers(1, 64))
-    with mock.patch.object(matrixio, "_BLOCK_BYTES", block):
-        got = matrixio._read_ranges(raw, n, cuts)
-        one = matrixio._read_ranges(raw, n, [start, len(raw)])
-    want = float_parse(text, int(header))
-    assert got.shape == one.shape == want.shape
-    assert got.tobytes() == one.tobytes() == want.tobytes()
-
-
 def test_non_plain_byte_only_in_last_range_falls_back_to_float_parse(tmp_path):
     raw = b"1,2\n" * 50 + b"3,4.5\n"
-    start, n = matrixio._plain_layout(raw)
-    last = raw.rindex(b"\n", 0, len(raw) - 1) + 1
-    assert matrixio._read_ranges(raw, n, [start, last]) is not None
-    assert matrixio._read_ranges(raw, n, [start, 100, last, len(raw)]) is None
     path = tmp_path / "m.csv"
     path.write_bytes(raw)
-    with mock.patch.object(matrixio, "_RANGE_MIN_BYTES", 50), \
-            mock.patch.object(matrixio, "cpu_count", lambda: 4):
-        assert len(matrixio._row_cuts(raw, start)) == 5
+    # Blocks of five 4-byte rows: ten plain blocks, then the 4.5 cell's row
+    # alone in the last one.
+    with mock.patch.object(matrixio, "_BLOCK_BYTES", 20):
+        start, n = matrixio._plain_layout(raw)
+        blocks = matrixio._plain_blocks(raw, start, len(raw), n)
+        assert [next(blocks).shape for _ in range(10)] == [(5, 2)] * 10
+        with pytest.raises(matrixio._NotPlain):
+            next(blocks)
         got, parses = read_with_parses(path)
     assert parses == FLOAT
     assert got.tobytes() == float_parse(raw.decode()).tobytes()
 
 
-def test_read_matrix_splits_one_range_per_cpu(tmp_path):
+def test_whole_read_starts_no_thread(tmp_path, started):
     rng = np.random.default_rng(4)
     y = rng.poisson(4.0, size=(500, 6))
     path = tmp_path / "m.csv"
     path.write_text("".join(",".join(map(str, row)) + "\n" for row in y))
-    ranges = []
-    real = matrixio._fill_rows
-
-    def spy(data, start, stop, n, out):
-        ranges.append((start, stop))
-        return real(data, start, stop, n, out)
-
+    m = tmp_path / "basis.csv"
+    m.write_text("1,0,0,0,0,0\n0,1,0,0,0,0\n")
     with mock.patch.object(matrixio, "_RANGE_MIN_BYTES", 100), \
             mock.patch.object(matrixio, "_BLOCK_BYTES", 64), \
-            mock.patch.object(matrixio, "cpu_count", lambda: 4), \
-            mock.patch.object(matrixio, "_fill_rows", spy):
+            mock.patch.object(matrixio, "cpu_count", lambda: 4):
         got, parses = read_with_parses(path)
+        assert main(["subsample", str(path), str(m), "--family", "poisson",
+                     "--k-grid", "100,500", "--reps", "1", "--rank", "fixed:2",
+                     "--out", str(tmp_path / "curve.csv")]) == 0
     assert parses == BYTES
-    ranges.sort()  # the threads may start in any order
-    assert len(ranges) == 4 and ranges[0][0] == 0
-    assert ranges[-1][1] == path.stat().st_size
-    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
     assert got.tobytes() == y.astype(float).tobytes()
+    assert started == []
