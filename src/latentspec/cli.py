@@ -329,20 +329,19 @@ def cmd_simulate(args) -> int:
                     f"reps<={MAX_REPS_DEFAULT}); pass --full to run it"
                 )
 
+    # Every cell is checked before anything is written.
+    configs = [ScenarioConfig(**cell, reps=reps, seed=seed, scaling=scaling)
+               for cell in cells]
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
 
     summary_rows = []
     rep_rows = []
-    for cell in cells:
-        sc = ScenarioConfig(
-            scenario=cell["scenario"], n=cell["n"], k=cell["k"], r=cell["r"],
-            reps=reps, seed=seed, scaling=scaling,
-        )
+    for sc in configs:
         stats = run_replications(sc, threads=threads)
         summary_rows.append(
             [
-                cell["scenario"], cell["n"], cell["k"], cell["r"], reps,
+                sc.scenario, sc.n, sc.k, sc.r, reps,
                 stats.r_correct, stats.r_under, stats.r_over,
                 stats.failed, stats.no_plateau,
                 format_value(stats.d_median_fixed),
@@ -353,8 +352,7 @@ def cmd_simulate(args) -> int:
         for rec in stats.records:
             rep_rows.append(
                 [
-                    cell["scenario"], cell["n"], cell["k"], cell["r"],
-                    rec.rep_index,
+                    sc.scenario, sc.n, sc.k, sc.r, rec.rep_index,
                     "" if rec.r_hat is None else rec.r_hat,
                     "" if rec.d_fixed is None else format_value(rec.d_fixed),
                     "" if rec.d_auto is None else format_value(rec.d_auto),

@@ -226,7 +226,8 @@ def estimate_rank(eigenvalues, k: int,
     ``eigenvalues`` is a descending eigenvalue vector.  The scale
     tau = c_k * k^(-eta) uses the configured coefficient, calibrating it
     first when set to "auto".  Negative eigenvalues can never be counted.
-    A count of zero is a legal outcome.
+    A count of zero is a legal outcome.  A numeric coefficient that scales
+    an eigenvalue past the float range raises InvalidParameterError.
     """
     cfg = cfg if cfg is not None else ScalingConfig()
     if k < 1:
@@ -238,7 +239,13 @@ def estimate_rank(eigenvalues, k: int,
     else:
         coeff = float(cfg.scale_coefficient)
     tau = coeff * float(k) ** (-cfg.eta)
-    scaled = vals / tau
+    with np.errstate(all="ignore"):
+        scaled = vals / tau
+    if trace is None and not np.isfinite(scaled).all():
+        raise InvalidParameterError(
+            f"scale coefficient {coeff:g} gives eigenvalues / tau past the "
+            f"float range (tau = {tau:g})"
+        )
     return RankEstimate(
         r_hat=int(np.count_nonzero(scaled > cfg.c_tilde)),
         scaled_eigenvalues=scaled,

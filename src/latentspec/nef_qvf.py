@@ -119,23 +119,30 @@ def qvf_transform(c: QvfCoefficients, y, y2):
     return out / (1.0 + c.b2)
 
 
-def _check_mean_region(f: Family, theta: np.ndarray) -> None:
+def _check_mean_region(f: Family, lo, hi) -> None:
+    """Raise unless means from ``lo`` up to ``hi`` lie in the mean region.
+
+    ``lo`` and ``hi`` are the smallest and largest of the means; a NaN
+    bound is not outside the region.
+    """
     s = f.s
     kind = f.kind
-    if kind == "poisson" and np.any(theta < 0):
+    if kind == "poisson" and lo < 0:
         raise OutOfSupportError("poisson mean must be >= 0")
-    if kind == "binomial" and (np.any(theta < 0) or np.any(theta > s)):
+    if kind == "binomial" and (lo < 0 or hi > s):
         raise OutOfSupportError(f"binomial mean must lie in [0, s={s:g}]")
-    if kind == "negbin" and np.any(theta < 0):
+    if kind == "negbin" and lo < 0:
         raise OutOfSupportError("negative binomial mean must be >= 0")
-    if kind == "gamma" and np.any(theta <= 0):
+    if kind == "gamma" and lo <= 0:
         raise OutOfSupportError("gamma mean must be > 0")
 
 
 def variance_from_mean(f: Family, theta):
     """Family variance at the given mean(s); raises outside the mean region."""
     arr = np.asarray(theta, dtype=float)
-    _check_mean_region(f, arr)
+    # fmin and fmax skip NaN, so one NaN mean does not hide another's fault.
+    _check_mean_region(f, np.fmin.reduce(arr, axis=None, initial=np.inf),
+                       np.fmax.reduce(arr, axis=None, initial=-np.inf))
     c = qvf_coefficients(f)
     out = c.b0 + c.b1 * arr + c.b2 * arr * arr
     if out.ndim == 0:

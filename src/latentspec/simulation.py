@@ -13,6 +13,8 @@ k x n ``theta`` and ``y``.  The replication harness reduces a count
 scenario's blocks to their Moments as they are drawn, so it holds no k x n
 array; the normal and gamma scenarios, whose real-valued sums depend on
 the order of the rows, are reduced from a whole ``y``, with no ``theta``.
+``true_deltas`` is the column average of the exact variances up to
+rounding, computed in closed form from the k x r coefficients alone.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .matrix_core import (
     data_moments,
     median,
 )
-from .nef_qvf import Family, variance_from_mean
+from .nef_qvf import Family, _check_mean_region, qvf_coefficients
 from .subspace_metrics import RowSpaceBasis, subspace_distance
 from .variance_estimation import dk_error, estimate_dk_qvf, needs_column_sums
 
@@ -106,11 +108,11 @@ class ScenarioDraw:
     bits can differ from those of the whole product, as BLAS picks its
     kernel by shape).  For the binomial scenario theta holds success
     probabilities and the family-level mean is s * theta; everywhere else
-    theta is the mean itself.  ``true_deltas`` are the column averages of
-    the exact observation variances; ``w_exact`` is the finite-k
-    coefficient gram phi^T phi / k.  ``theta`` and ``y`` are whole k x n
-    arrays; the replication harness draws no ``theta`` and reads count
-    scenarios block by block.
+    theta is the mean itself.  ``w_exact`` is the finite-k coefficient gram
+    phi^T phi / k; ``true_deltas``, the column averages of the exact
+    observation variances, are computed in closed form (see ``_Walk``).
+    ``theta`` and ``y`` are whole k x n arrays; the replication harness
+    draws no ``theta`` and reads count scenarios block by block.
     """
 
     scenario: str
@@ -168,8 +170,12 @@ class _Walk:
     Iterating yields ``(start, theta, y)`` for each row block: theta is the
     block's rows of phi @ m and y its observations, which numpy's samplers
     draw element by element in C order, so the blocks give the same variates
-    as one whole-matrix call.  ``true_deltas`` is set once every block has
-    been walked.
+    as one whole-matrix call.  The means are mu = c * phi @ m (c = s for
+    binomial, else 1), so the column average of the exact variances
+    b0 + b1*mu + b2*mu^2 is ``true_deltas`` = b0 + b1*c*(phibar @ m)
+    + b2*c^2*diag(m^T w m), from phi's column means phibar and
+    ``w_exact`` w = phi^T phi / k alone.  Up to rounding it equals the
+    average of the variances entry by entry.
     """
 
     def __init__(self, cfg: ScenarioConfig, rep_index: int):
@@ -189,25 +195,20 @@ class _Walk:
         else:  # negbin, gamma
             self.phi = rng.uniform(0.5, 2.0, size=(k, r))
             self.m = rng.uniform(0.3, 1.5, size=(r, n))
-        self.true_deltas = None
+        phi, m = self.phi, self.m
+        self.scale = c = self.family.s if cfg.scenario == "binomial" else 1.0
+        self.w_exact = w = (phi.T @ phi) / float(k)
+        b = qvf_coefficients(self.family)
+        self.true_deltas = (b.b0 + b.b1 * c * (phi.mean(axis=0) @ m)
+                            + b.b2 * c * c * (m * (w @ m)).sum(axis=0))
 
     def __iter__(self):
-        cfg, family = self.cfg, self.family
-        # The column totals of the exact variances run through the blocks
-        # in row order: each block's first row takes the total so far, so
-        # the sums are those of one sequential sum over all k rows.
-        total = None
+        cfg, family, c = self.cfg, self.family, self.scale
         for start, stop in _row_blocks(cfg.k, cfg.n):
             theta = self.phi[start:stop] @ self.m
             # Raises OutOfSupportError for means outside the family's region.
-            var = variance_from_mean(
-                family, family.s * theta if cfg.scenario == "binomial" else theta)
-            if total is not None:
-                var[0] += total
-            total = var.sum(axis=0)
-            del var  # freed before the draw, which is the block's peak
+            _check_mean_region(family, c * theta.min(), c * theta.max())
             yield start, theta, _draw(self.rng, cfg.scenario, family, theta)
-        self.true_deltas = total / cfg.k
 
 
 def generate_scenario(cfg: ScenarioConfig, rep_index: int) -> ScenarioDraw:
@@ -218,17 +219,16 @@ def generate_scenario(cfg: ScenarioConfig, rep_index: int) -> ScenarioDraw:
         stop = start + theta_block.shape[0]
         theta[start:stop] = theta_block
         y[start:stop] = y_block
-    phi = walk.phi
     return ScenarioDraw(
         scenario=cfg.scenario,
         rep_index=int(rep_index),
         family=walk.family,
-        phi=phi,
+        phi=walk.phi,
         m=walk.m,
         theta=theta,
         y=DataMatrix(y),
         true_deltas=walk.true_deltas,
-        w_exact=(phi.T @ phi) / float(cfg.k),
+        w_exact=walk.w_exact,
     )
 
 

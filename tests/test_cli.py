@@ -773,6 +773,16 @@ def test_simulate_malformed_field_exits_2(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("k", -5), ("scenario", "poison"),
+                                          ("k", [300, -5])])
+def test_simulate_bad_cell_writes_nothing(tmp_path, capsys, field, value):
+    # Every cell is checked before the output directory is made.
+    path, cfg = write_sim_config(tmp_path, **{field: value})
+    assert main(["simulate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not Path(cfg["output_dir"]).exists()
+
+
 def test_simulate_threads_invariant_at_threaded_lapack_size(tmp_path):
     # n=300 is large enough for a threaded LAPACK path, which the n <= 10
     # tests above never reach.  BLAS threads stay fixed at 2; only --threads
@@ -959,6 +969,11 @@ def exit_case_files(tmp_path):
         paths[name] = str(tmp_path / f"{name}.csv")
     (tmp_path / "file").write_text("not a directory\n")
     paths["file"] = str(tmp_path / "file")
+    # Plain counts near 1e15, whose eigenvalues overflow at --scale 1e-300.
+    huge = rng.integers(10 ** 14, 8 * 10 ** 14, size=(40, 4))
+    (tmp_path / "huge.csv").write_text(
+        "".join(",".join(map(str, row)) + "\n" for row in huge))
+    paths["huge"] = str(tmp_path / "huge.csv")
     config = {"scenario": "poisson", "n": 4, "k": 50, "r": 1, "reps": 1,
               "output_dir": str(tmp_path / "file" / "sim")}
     (tmp_path / "config.json").write_text(json.dumps(config))
@@ -999,6 +1014,8 @@ SUBSAMPLE = "subsample {y} {m} --family poisson --k-grid 20 --reps 1"
                  + " --rank fixed:2 --out {tmp}/c.csv", id="subsample-reps-negative"),
     pytest.param(2, SUBSAMPLE + " --seed -1 --rank fixed:2 --out {tmp}/c.csv",
                  id="subsample-seed-negative"),
+    pytest.param(2, "estimate {huge} --family poisson --scale 1e-300 --out {tmp}/o",
+                 id="estimate-scale-overflow"),
 ])
 def test_error_exit_codes(exit_case_files, capsys, code, command):
     argv = [arg.format(**exit_case_files) for arg in command.split()]

@@ -210,6 +210,16 @@ def test_estimate_rank_auto_near_overflow_falls_back(vals, k, r_hat):
     assert est.r_hat == r_hat
 
 
+@pytest.mark.parametrize("coeff", [1e-300, 5e-324])
+def test_estimate_rank_numeric_scale_overflow_raises(coeff):
+    # A numeric coefficient has no fallback: scaled eigenvalues past the
+    # float range (or 0 / 0 once tau underflows) are an error, raised
+    # without a RuntimeWarning.
+    cfg = ScalingConfig(scale_coefficient=coeff)
+    with pytest.raises(InvalidParameterError, match="scale coefficient"):
+        estimate_rank(np.array([1e29, 0.0]), k=10 ** 6, cfg=cfg)
+
+
 @pytest.mark.parametrize("vals, k, rescaled", [
     ([1e-300, 1e-310], 1000, [1.0, 1e-10]),
     ([1e306, 1e306, 1.0], 10**6, [1.0, 1.0, 1e-306]),

@@ -135,6 +135,18 @@ def test_variance_out_of_support():
         variance_from_mean(gamma(10), 0.0)
 
 
+def test_variance_region_check_skips_nan():
+    # A NaN mean is not outside the region, nor does it hide one that is.
+    nan = float("nan")
+    assert np.isnan(variance_from_mean(poisson(), [nan, nan])).all()
+    np.testing.assert_array_equal(
+        variance_from_mean(binomial(20), [nan, 10.0])[1:], [5.0])
+    for f, bad in [(poisson(), -0.1), (binomial(20), 21.0), (gamma(10), 0.0)]:
+        with pytest.raises(OutOfSupportError):
+            variance_from_mean(f, [nan, bad, nan])
+    assert variance_from_mean(gamma(10), np.empty((0, 3))).shape == (0, 3)
+
+
 # --------------------------------------------------------------- validation
 
 def test_family_validation():

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import latentspec.matrix_core as matrix_core
+import latentspec.nef_qvf as nef_qvf
 import latentspec.simulation as sim
 from family_helpers import assert_moments_equal
-from latentspec.errors import InvalidParameterError
+from latentspec.errors import InvalidParameterError, OutOfSupportError
 from latentspec.latent_space import ScalingConfig
 from latentspec.matrix_core import _BLOCK_ENTRIES, data_moments
 from latentspec.simulation import (
@@ -25,7 +26,7 @@ from latentspec.simulation import (
 )
 from latentspec.subspace_metrics import subspace_distance
 from latentspec.latent_space import estimate_latent_space
-from latentspec.nef_qvf import variance_from_mean, binomial
+from latentspec.nef_qvf import binomial, qvf_coefficients, variance_from_mean
 from latentspec.variance_estimation import estimate_dk_qvf, needs_column_sums
 
 
@@ -138,8 +139,14 @@ def _reference_generate_scenario(cfg, rep_index):
         m = rng.uniform(0.3, 1.5, size=(r, n))
 
     theta = phi @ m
-    means = family.s * theta if scenario == "binomial" else theta
-    true_deltas = variance_from_mean(family, means).mean(axis=0)
+    w_exact = (phi.T @ phi) / float(k)
+    # The column average of b0 + b1*mu + b2*mu^2 at mu = c * theta: the
+    # average of theta is phibar @ m, that of theta^2 is diag(m^T w m).
+    b = qvf_coefficients(family)
+    c = family.s if scenario == "binomial" else 1.0
+    avg_theta = phi.mean(axis=0) @ m
+    avg_theta2 = (m * (w_exact @ m)).sum(axis=0)
+    true_deltas = b.b0 + b.b1 * c * avg_theta + b.b2 * c * c * avg_theta2
 
     if scenario == "binomial":
         y = rng.binomial(int(family.s), theta).astype(float)
@@ -154,7 +161,6 @@ def _reference_generate_scenario(cfg, rep_index):
         s = family.s
         y = rng.gamma(s, theta / s)
 
-    w_exact = (phi.T @ phi) / float(k)
     return phi, m, theta, y, true_deltas, w_exact
 
 
@@ -179,6 +185,52 @@ def test_block_draw_matches_whole_matrix_draw(scenario, n, k):
         assert np.array_equal(a, b), name
 
 
+@pytest.mark.parametrize("scenario", ["normal", "poisson", "binomial", "negbin", "gamma"])
+@pytest.mark.parametrize("n, k", list(_block_shapes()))
+def test_true_deltas_are_column_average_of_exact_variances(scenario, n, k):
+    cfg = ScenarioConfig(scenario=scenario, n=n, k=k, r=min(3, n - 1), seed=41)
+    draw = generate_scenario(cfg, 2)
+    means = draw.family.s * draw.theta if scenario == "binomial" else draw.theta
+    np.testing.assert_allclose(
+        draw.true_deltas, variance_from_mean(draw.family, means).mean(axis=0),
+        rtol=1e-13, atol=0)
+
+
+def _no_variance_pass(*args):
+    raise AssertionError("a replication computed per-entry variances")
+
+
+@pytest.mark.parametrize("scenario", ["normal", "poisson", "binomial", "negbin", "gamma"])
+def test_replication_makes_no_variance_pass(monkeypatch, scenario):
+    cfg = ScenarioConfig(scenario=scenario, n=15, k=5000, r=3, seed=5)
+    monkeypatch.setattr(nef_qvf, "variance_from_mean", _no_variance_pass)
+    monkeypatch.setattr(sim, "variance_from_mean", _no_variance_pass,
+                        raising=False)
+    _replication_moments(cfg, 0)
+    generate_scenario(cfg, 0)
+
+
+@pytest.mark.parametrize("scenario, value", [
+    ("poisson", -1.0), ("binomial", -1.0), ("binomial", 2.0),
+    ("negbin", -1.0), ("gamma", 0.0)])
+def test_block_outside_mean_region_raises(monkeypatch, scenario, value):
+    # The last row lands in the last of several blocks.
+    init = sim._Walk.__init__
+
+    def init_bad_last_row(self, cfg, rep_index):
+        init(self, cfg, rep_index)
+        self.phi[-1] = value
+
+    n = 15
+    cfg = ScenarioConfig(scenario=scenario, n=n, k=3 * (_BLOCK_ENTRIES // n) + 7,
+                         r=3, seed=5)
+    monkeypatch.setattr(sim._Walk, "__init__", init_bad_last_row)
+    with pytest.raises(OutOfSupportError):
+        generate_scenario(cfg, 0)
+    with pytest.raises(OutOfSupportError):
+        _replication_moments(cfg, 0)
+
+
 @pytest.mark.parametrize("scenario, n, k", [("binomial", 100, 10_000),
                                              ("poisson", 20, 100_000)])
 def test_generate_scenario_holds_two_matrices(scenario, n, k):
@@ -196,7 +248,7 @@ def test_generate_scenario_holds_two_matrices(scenario, n, k):
 @pytest.mark.parametrize("scenario, bound", [("normal", 1.5), ("gamma", 2.2)])
 def test_whole_replication_holds_no_theta(scenario, bound):
     # y is the only k x n array besides gamma's column sort; phi and a few
-    # row blocks of 2^16 entries add about 0.35 of one.  Measured at 1.36
+    # row blocks of 2^16 entries add about 0.3 of one.  Measured at 1.29
     # (normal) and 2.09 (gamma) of one k x n array.  The first call in a
     # process adds about 0.1 of one-time allocations, so it is made first.
     n, k = 100, 10_000
@@ -240,7 +292,7 @@ def test_streamed_moments_match_whole_draw(monkeypatch, scenario, n, k):
 def test_walked_moments_match_whole_draw(monkeypatch, scenario, n, k):
     cfg = ScenarioConfig(scenario=scenario, n=n, k=k, r=min(3, n - 1), seed=41)
     with monkeypatch.context() as patch:
-        # The walk writes y alone, with no theta or w_exact.
+        # The walk writes y alone, with no theta.
         patch.setattr(sim, "generate_scenario", _no_whole_draw)
         family, m, moments, true_deltas = _replication_moments(cfg, 2)
     draw = generate_scenario(cfg, 2)
@@ -253,8 +305,8 @@ def test_walked_moments_match_whole_draw(monkeypatch, scenario, n, k):
 @pytest.mark.parametrize("scenario, n, k", [("binomial", 100, 10_000),
                                              ("poisson", 20, 100_000)])
 def test_streamed_replication_holds_no_matrix(scenario, n, k):
-    # phi (k x r) and a few row blocks: measured at 0.46 (binomial, the
-    # first call in a process) and 0.33 (poisson) of one k x n array,
+    # phi (k x r) and a few row blocks: measured at 0.40 (binomial, the
+    # first call in a process) and 0.28 (poisson) of one k x n array,
     # where the whole draw holds two.
     cfg = ScenarioConfig(scenario=scenario, n=n, k=k, r=3, seed=1)
     tracemalloc.start()
@@ -264,6 +316,22 @@ def test_streamed_replication_holds_no_matrix(scenario, n, k):
     finally:
         tracemalloc.stop()
     assert peak <= 0.6 * 8 * k * n
+
+
+def test_streamed_binomial_replication_peak():
+    # No block of exact variances: phi, one block's theta and draw.
+    # Measured at 0.30 of one k x n array (0.37 with the variance pass)
+    # after a first call, which adds one-time allocations.
+    n, k = 100, 10_000
+    cfg = ScenarioConfig(scenario="binomial", n=n, k=k, r=3, seed=1)
+    _replication_moments(cfg, 0)
+    tracemalloc.start()
+    try:
+        _replication_moments(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.33 * 8 * k * n
 
 
 def test_streamed_moments_fall_back_past_exact_sum_bound(monkeypatch):
