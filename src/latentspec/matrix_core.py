@@ -27,8 +27,10 @@ from .errors import (
 SYMMETRY_TOL = 1e-10
 # Below this bound integers and their sums are exact in float64.
 EXACT_SUM_BOUND = 2 ** 53
-# is_integral tests row blocks of about this many entries, so that
-# np.floor's temporary stays in cache.
+# Row blocks of about this many entries (512 KiB of float64) keep a block's
+# temporaries in cache: is_integral tests blocks of this size, and a
+# simulated replication is drawn and reduced in them, each into the one
+# buffer its worker allocates for the largest block.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -218,31 +220,39 @@ def data_moments(y, sums: bool = True) -> Moments:
     return Moments(gram, colsum, colsumsq, k, ymin, ymax, integral)
 
 
-def _count_sums(blocks, n: int):
-    """(gram, colsum, rows, ymin, ymax) of the (rows, n) float64 ``blocks``.
+def _block_sums(blocks, n: int, exact: bool = True):
+    """(gram, colsum, rows, ymin, ymax) of the (rows, n) float64 ``blocks``,
+    added in the order they come.
 
-    The blocks hold nonnegative whole numbers.  While k * max(y)^2 < 2^53
-    every partial sum is an integer below 2^53, exact in float64, so the
-    totals have the bits of the whole-matrix ones whatever the blocking.
-    None as soon as the running totals break that bound; the remaining
-    blocks are not read.  No blocks give zeros.
+    With ``exact`` set the blocks hold nonnegative whole numbers: while
+    k * max(y)^2 < 2^53 every partial sum is an integer below 2^53, exact
+    in float64, so the totals have the bits of the whole-matrix ones
+    whatever the blocking.  None as soon as the running totals break that
+    bound; the remaining blocks are not read.  No blocks give zeros.
+    Otherwise the blocks may hold any finite values and are all summed:
+    the totals' bits are then fixed by the blocks, in their order.
     """
     gram, colsum = np.zeros((n, n)), np.zeros(n)
-    k, ymin, ymax = 0, np.inf, 0.0
+    # Counts are nonnegative, so 0 bounds their largest entry from below.
+    k, ymin, ymax = 0, np.inf, 0.0 if exact else -np.inf
     for block in blocks:
         gram += block.T @ block
         colsum += np.ones(block.shape[0]) @ block
         k += block.shape[0]
         ymin, ymax = min(ymin, block.min()), max(ymax, block.max())
-        if k * int(ymax) ** 2 >= EXACT_SUM_BOUND:
+        if exact and k * int(ymax) ** 2 >= EXACT_SUM_BOUND:
             return None
     return gram, colsum, k, ymin, ymax
 
 
-def _count_moments(partials) -> Moments | None:
-    """The Moments of row ranges from their ``_count_sums``, added in order.
+def _block_moments(partials, exact: bool = True,
+                   integral: bool = True) -> Moments | None:
+    """The Moments of row ranges from their ``_block_sums``, added in order.
 
-    None when a range gave None or the totals break k * max(y)^2 < 2^53.
+    The sums of y*y are the gram's diagonal, and ``integral`` tells whether
+    the ranges hold whole numbers only.  With ``exact`` set, as for
+    ``_block_sums``, None when a range gave None or the totals break
+    k * max(y)^2 < 2^53.
     """
     if any(p is None for p in partials):
         return None
@@ -251,10 +261,10 @@ def _count_moments(partials) -> Moments | None:
         gram += g
         colsum += c
         k, ymin, ymax = k + rows, min(ymin, lo), max(ymax, hi)
-    if k * int(ymax) ** 2 >= EXACT_SUM_BOUND:
+    if exact and k * int(ymax) ** 2 >= EXACT_SUM_BOUND:
         return None
     return Moments(gram, colsum, np.diag(gram).copy(), k, float(ymin),
-                   float(ymax), integral=True)
+                   float(ymax), integral)
 
 
 def as_moments(y) -> Moments:

@@ -32,8 +32,8 @@ import numpy as np
 from .errors import InvalidParameterError
 from .matrix_core import (
     Moments,
-    _count_moments,
-    _count_sums,
+    _block_moments,
+    _block_sums,
     _on_threads,
     cpu_count,
 )
@@ -203,7 +203,7 @@ def _reduce_rows(data: bytes, start: int, stop: int, n: int):
     k * max(y)^2 < 2^53.  An empty range gives zeros.
     """
     try:
-        return _count_sums(_plain_blocks(data, start, stop, n), n)
+        return _block_sums(_plain_blocks(data, start, stop, n), n)
     except _NotPlain:
         return None
 
@@ -228,7 +228,7 @@ def _reduce_ranges(data: bytes, n: int, cuts: list[int]) -> Moments | None:
     reduced on the calling thread and each other one on a thread of its own,
     added together; None when a range is not plain or the totals break the
     exact-sum bound."""
-    return _count_moments(_on_threads(
+    return _block_moments(_on_threads(
         _reduce_rows, [(data, a, b, n) for a, b in zip(cuts, cuts[1:])]))
 
 

@@ -9,12 +9,12 @@ A replication is drawn in row blocks, in stream order: each block's means
 are its rows of phi @ m, and numpy's samplers read the stream element by
 element in C order, so the blocks give the same variates as one
 whole-matrix call.  ``generate_scenario`` writes the blocks into whole
-k x n ``theta`` and ``y``.  The replication harness reduces a count
-scenario's blocks to their Moments as they are drawn, so it holds no k x n
-array; the normal and gamma scenarios, whose real-valued sums depend on
-the order of the rows, are reduced from a whole ``y``, with no ``theta``.
-``true_deltas`` is the column average of the exact variances up to
-rounding, computed in closed form from the k x r coefficients alone.
+k x n ``theta`` and ``y``.  The replication harness draws each block into
+one buffer that a worker allocates once, and reduces every scenario's
+blocks to their Moments in block order as they are drawn, so it holds no
+k x n array.  ``true_deltas`` is the column average of the exact
+variances up to rounding, computed in closed form from the k x r
+coefficients alone.
 """
 
 from __future__ import annotations
@@ -29,15 +29,14 @@ from .latent_space import ScalingConfig, estimate_latent_space
 from .matrix_core import (
     _BLOCK_ENTRIES,
     DataMatrix,
-    _count_moments,
-    _count_sums,
+    _block_moments,
+    _block_sums,
     _on_threads,
-    data_moments,
     median,
 )
 from .nef_qvf import Family, _check_mean_region, qvf_coefficients
 from .subspace_metrics import RowSpaceBasis, subspace_distance
-from .variance_estimation import dk_error, estimate_dk_qvf, needs_column_sums
+from .variance_estimation import dk_error, estimate_dk_qvf
 
 # Observation family of each scenario.
 SCENARIO_FAMILIES = {
@@ -112,7 +111,7 @@ class ScenarioDraw:
     phi^T phi / k; ``true_deltas``, the column averages of the exact
     observation variances, are computed in closed form (see ``_Walk``).
     ``theta`` and ``y`` are whole k x n arrays; the replication harness
-    draws no ``theta`` and reads count scenarios block by block.
+    holds neither, but draws the same blocks into one reused buffer.
     """
 
     scenario: str
@@ -134,21 +133,6 @@ def _binomial_basis(r: int, n: int) -> np.ndarray:
     return m
 
 
-def _draw(rng: np.random.Generator, scenario: str, family: Family,
-          theta: np.ndarray) -> np.ndarray:
-    """Observations of the scenario at ``theta``, one per entry in C order."""
-    if scenario == "normal":
-        return theta + rng.normal(0.0, 1.0, size=theta.shape)
-    if scenario == "poisson":
-        return rng.poisson(theta)
-    if scenario == "binomial":
-        return rng.binomial(int(family.s), theta)
-    s = family.s
-    if scenario == "negbin":
-        return rng.negative_binomial(s, s / (s + theta))
-    return rng.gamma(s, theta / s)
-
-
 def _row_blocks(k: int, n: int):
     """(start, stop) of each row block of about ``_BLOCK_ENTRIES`` entries.
 
@@ -165,17 +149,16 @@ def _row_blocks(k: int, n: int):
 
 
 class _Walk:
-    """One replication drawn in row blocks, in stream order.
+    """One replication, drawn one row block at a time in stream order.
 
-    Iterating yields ``(start, theta, y)`` for each row block: theta is the
-    block's rows of phi @ m and y its observations, which numpy's samplers
-    draw element by element in C order, so the blocks give the same variates
-    as one whole-matrix call.  The means are mu = c * phi @ m (c = s for
-    binomial, else 1), so the column average of the exact variances
-    b0 + b1*mu + b2*mu^2 is ``true_deltas`` = b0 + b1*c*(phibar @ m)
-    + b2*c^2*diag(m^T w m), from phi's column means phibar and
-    ``w_exact`` w = phi^T phi / k alone.  Up to rounding it equals the
-    average of the variances entry by entry.
+    ``draw`` writes a block's rows of phi @ m and their observations, which
+    numpy's samplers draw element by element in C order, so blocks drawn in
+    row order give the same variates as one whole-matrix call.  The means
+    are mu = c * phi @ m (c = s for binomial, else 1), so the column average
+    of the exact variances b0 + b1*mu + b2*mu^2 is ``true_deltas`` =
+    b0 + b1*c*(phibar @ m) + b2*c^2*diag(m^T w m), from phi's column means
+    phibar and ``w_exact`` w = phi^T phi / k alone.  Up to rounding it
+    equals the average of the variances entry by entry.
     """
 
     def __init__(self, cfg: ScenarioConfig, rep_index: int):
@@ -202,23 +185,50 @@ class _Walk:
         self.true_deltas = (b.b0 + b.b1 * c * (phi.mean(axis=0) @ m)
                             + b.b2 * c * c * (m * (w @ m)).sum(axis=0))
 
-    def __iter__(self):
-        cfg, family, c = self.cfg, self.family, self.scale
-        for start, stop in _row_blocks(cfg.k, cfg.n):
-            theta = self.phi[start:stop] @ self.m
-            # Raises OutOfSupportError for means outside the family's region.
-            _check_mean_region(family, c * theta.min(), c * theta.max())
-            yield start, theta, _draw(self.rng, cfg.scenario, family, theta)
+    def draw(self, start: int, stop: int, theta: np.ndarray,
+             y: np.ndarray) -> None:
+        """Write rows start:stop of phi @ m into ``theta`` and their
+        observations into ``y``, which may be ``theta`` itself.
+
+        Blocks must be drawn in row order.  Raises OutOfSupportError for
+        means outside the family's region.
+        """
+        np.matmul(self.phi[start:stop], self.m, out=theta)
+        c, s, rng = self.scale, self.family.s, self.rng
+        _check_mean_region(self.family, c * theta.min(), c * theta.max())
+        scenario = self.cfg.scenario
+        if scenario == "normal":
+            np.add(theta, rng.normal(0.0, 1.0, size=theta.shape), out=y)
+        elif scenario == "gamma":  # gamma(s, theta / s) = (theta / s) * G(s)
+            g = rng.standard_gamma(s, size=theta.shape)
+            np.divide(theta, s, out=y)
+            y *= g
+        elif scenario == "poisson":
+            np.copyto(y, rng.poisson(theta))
+        elif scenario == "binomial":
+            np.copyto(y, rng.binomial(int(s), theta))
+        else:  # negbin, with success probability s / (s + theta) built in y
+            np.add(theta, s, out=y)
+            np.divide(s, y, out=y)
+            np.copyto(y, rng.negative_binomial(s, y))
+
+
+def _block_buffer(cfg: ScenarioConfig) -> np.ndarray:
+    """Rows for the largest of the cell's row blocks, as theta and y both.
+
+    A replication worker allocates one and draws each block of each of its
+    replications into it.
+    """
+    rows = max(stop - start for start, stop in _row_blocks(cfg.k, cfg.n))
+    return np.empty((rows, cfg.n))
 
 
 def generate_scenario(cfg: ScenarioConfig, rep_index: int) -> ScenarioDraw:
     """Deterministic draw of one replication of the configured scenario."""
     walk = _Walk(cfg, rep_index)
     theta, y = np.empty((cfg.k, cfg.n)), np.empty((cfg.k, cfg.n))
-    for start, theta_block, y_block in walk:
-        stop = start + theta_block.shape[0]
-        theta[start:stop] = theta_block
-        y[start:stop] = y_block
+    for start, stop in _row_blocks(cfg.k, cfg.n):
+        walk.draw(start, stop, theta[start:stop], y[start:stop])
     return ScenarioDraw(
         scenario=cfg.scenario,
         rep_index=int(rep_index),
@@ -232,31 +242,33 @@ def generate_scenario(cfg: ScenarioConfig, rep_index: int) -> ScenarioDraw:
     )
 
 
-def _replication_moments(cfg: ScenarioConfig, rep_index: int):
+def _replication_moments(cfg: ScenarioConfig, rep_index: int,
+                         buf: np.ndarray | None = None):
     """(family, m, Moments, true_deltas) of one replication.
 
-    Count scenarios are reduced block by block as they are drawn, so no
-    k x n array is held: their blocks are whole numbers, and while
-    k * max(y)^2 < 2^53 the block sums are exact and the Moments have the
-    bits of ``data_moments`` of the whole draw.  Past that bound, and for
-    the normal and gamma scenarios, whose real-valued sums depend on the
-    order of the rows, the blocks are written into one k x n ``y``, which
-    is reduced whole.  The stream is keyed by (seed, rep_index), so that
-    draw is the same one.
+    Each row block is drawn into the first rows of ``buf`` (a
+    ``_block_buffer``, allocated here when not given), which holds its means
+    and then its observations, and is added to the Moments before the next
+    block is drawn, so no k x n array is held.  The blocks are summed in
+    ``_row_blocks`` order, which fixes the bits of the sums of real-valued
+    data.  A count scenario's block sums are exact integers while
+    k * max(y)^2 < 2^53, so the Moments then have the bits of
+    ``data_moments`` of the whole draw; past that bound they are summed in
+    block order too.  The normal and gamma draws are real-valued, so their
+    Moments are not integral.
     """
-    if cfg.scenario in _COUNT_SCENARIOS:
-        walk = _Walk(cfg, rep_index)
-        # map, unlike a generator expression, keeps no block alive while
-        # the next one is drawn.
-        blocks = map(lambda drawn: drawn[2].astype(np.float64), walk)
-        moments = _count_moments([_count_sums(blocks, cfg.n)])
-        if moments is not None:
-            return walk.family, walk.m, moments, walk.true_deltas
     walk = _Walk(cfg, rep_index)
-    y = np.empty((cfg.k, cfg.n))
-    for start, _, block in walk:
-        y[start:start + block.shape[0]] = block
-    moments = data_moments(y, needs_column_sums(walk.family))
+    buf = _block_buffer(cfg) if buf is None else buf
+
+    def blocks():
+        for start, stop in _row_blocks(cfg.k, cfg.n):
+            block = buf[:stop - start]
+            walk.draw(start, stop, block, block)
+            yield block
+
+    moments = _block_moments(
+        [_block_sums(blocks(), cfg.n, exact=False)], exact=False,
+        integral=cfg.scenario in _COUNT_SCENARIOS)
     return walk.family, walk.m, moments, walk.true_deltas
 
 
@@ -344,9 +356,11 @@ class ReplicationStats:
         return self._median("rho")
 
 
-def _run_one(cfg: ScenarioConfig, rep_index: int) -> RepRecord:
+def _run_one(cfg: ScenarioConfig, rep_index: int,
+             buf: np.ndarray | None = None) -> RepRecord:
     try:
-        family, m, moments, true_deltas = _replication_moments(cfg, rep_index)
+        family, m, moments, true_deltas = _replication_moments(
+            cfg, rep_index, buf)
         dk = estimate_dk_qvf(moments, family)
         rho = dk_error(dk, true_deltas)
 
@@ -383,7 +397,8 @@ def run_replications(cfg: ScenarioConfig, threads: int = 1) -> ReplicationStats:
 
     Replications are independent and run on ``min(threads, reps)`` workers,
     the calling thread among them, so one thread starts none.  Each worker
-    takes the next rep index from one shared iterator until none is left;
+    allocates one ``_block_buffer``, which all its replications draw into,
+    and takes the next rep index from one shared iterator until none is left;
     each replication's stream is keyed by (seed, rep index) and the records
     are put back in rep order, so results do not depend on ``threads``.
     Failures are recorded per replication without aborting.
@@ -392,8 +407,9 @@ def run_replications(cfg: ScenarioConfig, threads: int = 1) -> ReplicationStats:
     pending = iter(range(cfg.reps))
 
     def run():
+        buf = _block_buffer(cfg)
         try:
-            return [(i, _run_one(cfg, i)) for i in pending]
+            return [(i, _run_one(cfg, i, buf)) for i in pending]
         except BaseException:  # e.g. Ctrl-C on the calling thread
             # Empty the shared iterator, so every other worker stops after
             # the replication it is running.

@@ -1,15 +1,21 @@
 """Command line: parsing, outputs, exit codes, reproducibility."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latentspec
 from latentspec import cli, matrixio
@@ -685,10 +691,10 @@ def test_simulate_summary_counts_failed_reps(tmp_path, monkeypatch):
 
     real = sim._replication_moments
 
-    def flaky(cfg, rep_index):
+    def flaky(cfg, rep_index, buf):
         if rep_index == 2:
             raise ValueError("boom")
-        return real(cfg, rep_index)
+        return real(cfg, rep_index, buf)
 
     monkeypatch.setattr(sim, "_replication_moments", flaky)
     # At k=2 most gamma replications find no calibration plateau.
@@ -1023,6 +1029,93 @@ def test_error_exit_codes(exit_case_files, capsys, code, command):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
+
+
+def _edge_matrix(kind, k, n, rng):
+    """A k x n matrix of one of the edge kinds the estimate property draws."""
+    if kind == "zeros":
+        return np.zeros((k, n))
+    if kind == "constant":
+        return np.full((k, n), 3.0)
+    if kind == "zero-column":
+        y = rng.poisson(4.0, size=(k, n)).astype(float)
+        y[:, rng.integers(n)] = 0.0
+        return y
+    if kind == "counts":
+        return rng.poisson(4.0, size=(k, n)).astype(float)
+    if kind == "real":
+        return rng.normal(1.0, 2.0, size=(k, n))
+    if kind == "negative":
+        return -rng.poisson(4.0, size=(k, n)).astype(float)
+    return rng.integers(10 ** 14, 8 * 10 ** 14, size=(k, n)).astype(float)
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _estimate_artifacts(argv, out):
+    """Exit code, stderr and {name: bytes} of one ``estimate`` run into
+    ``out``, with every warning recorded."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv + ["--out", str(out)])
+    runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not runtime, [str(w.message) for w in runtime]
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} \
+        if out.is_dir() else {}
+    return code, err.getvalue().replace(str(out), "OUT"), files
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_estimate_edge_contracts(data):
+    # Small and degenerate files through every correction and rank flag:
+    # a documented exit code, no traceback or RuntimeWarning, strict JSON,
+    # and the same bytes from a rerun.
+    k = data.draw(st.sampled_from([1, 2, 3, 5, 40]), "k")
+    n = data.draw(st.sampled_from([2, 3, 4, 7]), "n")
+    kind = data.draw(st.sampled_from(["zeros", "constant", "zero-column", "counts",
+                                      "real", "negative", "huge"]), "kind")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), "seed"))
+    y = _edge_matrix(kind, k, n, rng)
+    correction = data.draw(st.sampled_from(
+        ["normal", "poisson", "binomial", "negbin", "gamma", "ghs", "leek"]),
+        "correction")
+    if correction == "leek":
+        argv = ["--leek", str(data.draw(st.integers(1, n), "t"))]
+    elif correction in ("normal", "poisson"):
+        argv = ["--family", correction]
+    else:
+        argv = ["--family", correction,
+                "--s", data.draw(st.sampled_from(["2", "5", "20"]), "s")]
+    rank = data.draw(st.sampled_from(
+        ["auto", "auto", "fixed:1", "fixed:2", f"fixed:{n}"]), "rank")
+    scale = data.draw(st.sampled_from(["auto", "1e-300", "1", "1e300"]), "scale")
+    argv += ["--rank", rank, "--scale", scale]
+    if data.draw(st.booleans(), "transpose"):
+        argv.append("--transpose")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "y.csv"
+        if np.array_equal(y, np.floor(y)):  # plain integers, the streamed read
+            path.write_text("".join(",".join(str(int(v)) for v in row) + "\n"
+                                    for row in y))
+        else:
+            write_matrix_csv(path, y)
+        argv = ["estimate", str(path)] + argv
+        first = _estimate_artifacts(argv, Path(tmp) / "a")
+        code, err, files = first
+        assert code in (0, 2, 3, 4), err
+        assert "Traceback" not in err
+        if "rank.json" in files:
+            _strict_json(files["rank.json"].decode())
+        assert _estimate_artifacts(argv, Path(tmp) / "b") == first
 
 
 def _error_classes(base=LatentSpecError):

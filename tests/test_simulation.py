@@ -14,7 +14,7 @@ import latentspec.simulation as sim
 from family_helpers import assert_moments_equal
 from latentspec.errors import InvalidParameterError, OutOfSupportError
 from latentspec.latent_space import ScalingConfig
-from latentspec.matrix_core import _BLOCK_ENTRIES, data_moments
+from latentspec.matrix_core import _BLOCK_ENTRIES, Moments, data_moments
 from latentspec.simulation import (
     ScenarioConfig,
     _binomial_basis,
@@ -27,7 +27,7 @@ from latentspec.simulation import (
 from latentspec.subspace_metrics import subspace_distance
 from latentspec.latent_space import estimate_latent_space
 from latentspec.nef_qvf import binomial, qvf_coefficients, variance_from_mean
-from latentspec.variance_estimation import estimate_dk_qvf, needs_column_sums
+from latentspec.variance_estimation import estimate_dk_qvf
 
 
 # ------------------------------------------------------------------- config
@@ -245,12 +245,13 @@ def test_generate_scenario_holds_two_matrices(scenario, n, k):
     assert peak <= 2.5 * 8 * k * n
 
 
-@pytest.mark.parametrize("scenario, bound", [("normal", 1.5), ("gamma", 2.2)])
-def test_whole_replication_holds_no_theta(scenario, bound):
-    # y is the only k x n array besides gamma's column sort; phi and a few
-    # row blocks of 2^16 entries add about 0.3 of one.  Measured at 1.29
-    # (normal) and 2.09 (gamma) of one k x n array.  The first call in a
-    # process adds about 0.1 of one-time allocations, so it is made first.
+@pytest.mark.parametrize("scenario", ["normal", "poisson", "binomial", "negbin", "gamma"])
+def test_replication_holds_no_k_by_n_array(scenario):
+    # phi (k x r), the block buffer and one block's draw: measured at 0.17
+    # of one k x n array (0.24 for negbin, whose sampler adds a block
+    # temporary), where a whole y took 1.29 (normal) and y with its column
+    # sort 2.09 (gamma).  The first call in a process adds one-time
+    # allocations, so it is made first.
     n, k = 100, 10_000
     cfg = ScenarioConfig(scenario=scenario, n=n, k=k, r=3, seed=1)
     _replication_moments(cfg, 0)
@@ -260,7 +261,7 @@ def test_whole_replication_holds_no_theta(scenario, bound):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound * 8 * k * n
+    assert peak <= 0.25 * 8 * k * n
 
 
 # ------------------------------------------------- streamed count reduction
@@ -272,13 +273,26 @@ def _no_whole_draw(cfg, rep_index):
     raise AssertionError("the streamed reduction fell back to the whole matrix")
 
 
+def _blocked_moments(y, integral):
+    """The Moments of ``y`` summed over its ``_row_blocks`` in order: the
+    gram and column sums block by block, the sums of y*y from the gram's
+    diagonal."""
+    k, n = y.shape
+    gram, colsum = np.zeros((n, n)), np.zeros(n)
+    for start, stop in sim._row_blocks(k, n):
+        block = y[start:stop]
+        gram += block.T @ block
+        colsum += np.ones(stop - start) @ block
+    return Moments(gram, colsum, np.diag(gram).copy(), k, float(y.min()),
+                   float(y.max()), integral)
+
+
 @pytest.mark.parametrize("scenario", COUNT_SCENARIOS)
 @pytest.mark.parametrize("n, k", list(_block_shapes()))
 def test_streamed_moments_match_whole_draw(monkeypatch, scenario, n, k):
     cfg = ScenarioConfig(scenario=scenario, n=n, k=k, r=min(3, n - 1), seed=41)
     with monkeypatch.context() as patch:
-        # Past the exact-sum bound the walked y is reduced by data_moments.
-        patch.setattr(sim, "data_moments", _no_whole_draw)
+        patch.setattr(sim, "generate_scenario", _no_whole_draw)
         family, m, moments, true_deltas = _replication_moments(cfg, 2)
     draw = generate_scenario(cfg, 2)
     assert family == draw.family
@@ -292,13 +306,13 @@ def test_streamed_moments_match_whole_draw(monkeypatch, scenario, n, k):
 def test_walked_moments_match_whole_draw(monkeypatch, scenario, n, k):
     cfg = ScenarioConfig(scenario=scenario, n=n, k=k, r=min(3, n - 1), seed=41)
     with monkeypatch.context() as patch:
-        # The walk writes y alone, with no theta.
         patch.setattr(sim, "generate_scenario", _no_whole_draw)
         family, m, moments, true_deltas = _replication_moments(cfg, 2)
     draw = generate_scenario(cfg, 2)
     assert family == draw.family
     assert np.array_equal(m, draw.m)
-    assert_moments_equal(moments, data_moments(draw.y, needs_column_sums(family)))
+    # Real-valued sums are fixed by the block order, not by the rows' sort.
+    assert_moments_equal(moments, _blocked_moments(draw.y.values, False))
     assert np.array_equal(true_deltas, draw.true_deltas)
 
 
@@ -335,22 +349,17 @@ def test_streamed_binomial_replication_peak():
 
 
 def test_streamed_moments_fall_back_past_exact_sum_bound(monkeypatch):
-    cfg = ScenarioConfig(scenario="poisson", n=8, k=3000, r=2, seed=17)
+    # Past the bound the counts are summed in block order too, still with
+    # no whole draw.  k spans three blocks.
+    cfg = ScenarioConfig(scenario="poisson", n=8, k=20_000, r=2, seed=17)
     draw = generate_scenario(cfg, 1)
     # Below k * max(y)^2, so the running block totals break the bound.
     bound = cfg.k * int(draw.y.values.max()) ** 2 // 2
-    whole = []
-
-    def spy(y, sums=True):
-        whole.append(y.shape)
-        return data_moments(y, sums)
-
     monkeypatch.setattr(matrix_core, "EXACT_SUM_BOUND", bound)
-    monkeypatch.setattr(sim, "data_moments", spy)
+    monkeypatch.setattr(sim, "generate_scenario", _no_whole_draw)
     _, m, moments, true_deltas = _replication_moments(cfg, 1)
-    assert whole == [(cfg.k, cfg.n)]
     assert np.array_equal(m, draw.m)
-    assert_moments_equal(moments, data_moments(draw.y))
+    assert_moments_equal(moments, _blocked_moments(draw.y.values, True))
     assert np.array_equal(true_deltas, draw.true_deltas)
 
 
@@ -422,13 +431,39 @@ def test_run_replications_thread_invariant(started):
         started.clear()
 
 
+@pytest.mark.parametrize("scenario", ["normal", "gamma"])
+def test_run_replications_thread_invariant_past_one_block(scenario):
+    # n = 8 makes blocks of 8192 rows: each replication spans two.
+    cfg = ScenarioConfig(scenario=scenario, n=8, k=10_000, r=2, reps=5, seed=13)
+    assert len(list(sim._row_blocks(cfg.k, cfg.n))) == 2
+    a = run_replications(cfg, threads=1)
+    for threads in (2, 4):
+        assert run_replications(cfg, threads=threads).records == a.records
+
+
+def test_run_replications_allocate_one_buffer_per_worker(monkeypatch):
+    made = []
+
+    def block_buffer(cfg):
+        made.append(threading.get_ident())
+        return real(cfg)
+
+    real = sim._block_buffer
+    monkeypatch.setattr(sim, "_block_buffer", block_buffer)
+    cfg = ScenarioConfig(scenario="gamma", n=8, k=400, r=2, reps=6, seed=13)
+    for threads in (1, 2):
+        made.clear()
+        run_replications(cfg, threads=threads)
+        assert len(set(made)) == len(made) == threads
+
+
 def test_run_replications_stop_soon_after_an_interrupt(monkeypatch, started):
     # Ctrl-C lands on the calling thread; the other worker finishes the
     # replication it is running and takes no more.
     caller = threading.get_ident()
     ran = []
 
-    def run_one(cfg, rep_index):
+    def run_one(cfg, rep_index, buf):
         if threading.get_ident() == caller:
             time.sleep(0.01)
             raise KeyboardInterrupt
@@ -472,10 +507,10 @@ def test_run_replications_records_failures_without_aborting(monkeypatch):
 
     real = sim._replication_moments
 
-    def flaky(cfg, rep_index):
+    def flaky(cfg, rep_index, buf):
         if rep_index == 1:
             raise ValueError("boom")
-        return real(cfg, rep_index)
+        return real(cfg, rep_index, buf)
 
     monkeypatch.setattr(sim, "_replication_moments", flaky)
     cfg = ScenarioConfig(scenario="poisson", n=8, k=300, r=2, reps=3, seed=16)
