@@ -8,13 +8,15 @@ replications are reproducible and independent regardless of scheduling.
 A replication is drawn in row blocks, in stream order: each block's means
 are its rows of phi @ m, and numpy's samplers read the stream element by
 element in C order, so the blocks give the same variates as one
-whole-matrix call.  ``generate_scenario`` writes the blocks into whole
-k x n ``theta`` and ``y``.  The replication harness draws each block into
-one buffer that a worker allocates once, and reduces every scenario's
-blocks to their Moments in block order as they are drawn, so it holds no
-k x n array.  ``true_deltas`` is the column average of the exact
-variances up to rounding, computed in closed form from the k x r
-coefficients alone.
+whole-matrix call.  The sampler is called on 64 KiB chunks of a block,
+whose variates go straight into the block's rows.  ``generate_scenario``
+writes the blocks into whole k x n ``theta`` and ``y``.  The replication
+harness draws each block into one buffer that a worker allocates once,
+and reduces every scenario's blocks to their Moments in block order as
+they are drawn, so a worker holds its k x r coefficients, its buffer and
+one chunk's draw, and no k x n array.  ``true_deltas`` is the column
+average of the exact variances up to rounding, computed in closed form
+from the k x r coefficients alone.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ _COUNT_SCENARIOS = frozenset({"poisson", "binomial", "negbin"})
 RNG_ALGORITHM = "philox4x64:key=(seed<<64)|rep_index"
 
 _KEY_BOUND = 1 << 64
+
+# Entries of a row block drawn by one sampler call: 64 KiB of variates.
+_CHUNK_ENTRIES = 8192
 
 
 def _check_key_part(value: int, name: str) -> None:
@@ -190,27 +195,35 @@ class _Walk:
         """Write rows start:stop of phi @ m into ``theta`` and their
         observations into ``y``, which may be ``theta`` itself.
 
-        Blocks must be drawn in row order.  Raises OutOfSupportError for
-        means outside the family's region.
+        The observations are drawn ``_CHUNK_ENTRIES`` entries of the block
+        at a time, in C order, and written straight into ``y``, so no
+        sampler output is larger than one chunk.  Both arrays must be
+        C-contiguous, as row slices of C arrays are: their flat views are
+        what the chunks write.  Blocks must be drawn in row order.  Raises
+        OutOfSupportError for means outside the family's region.
         """
         np.matmul(self.phi[start:stop], self.m, out=theta)
         c, s, rng = self.scale, self.family.s, self.rng
         _check_mean_region(self.family, c * theta.min(), c * theta.max())
         scenario = self.cfg.scenario
-        if scenario == "normal":
-            np.add(theta, rng.normal(0.0, 1.0, size=theta.shape), out=y)
-        elif scenario == "gamma":  # gamma(s, theta / s) = (theta / s) * G(s)
-            g = rng.standard_gamma(s, size=theta.shape)
+        if scenario == "gamma":  # gamma(s, theta / s) = (theta / s) * G(s)
             np.divide(theta, s, out=y)
-            y *= g
-        elif scenario == "poisson":
-            np.copyto(y, rng.poisson(theta))
-        elif scenario == "binomial":
-            np.copyto(y, rng.binomial(int(s), theta))
-        else:  # negbin, with success probability s / (s + theta) built in y
+        elif scenario == "negbin":  # success probability s / (s + theta)
             np.add(theta, s, out=y)
             np.divide(s, y, out=y)
-            np.copyto(y, rng.negative_binomial(s, y))
+        means, obs = theta.reshape(-1), y.reshape(-1)
+        for a in range(0, obs.size, _CHUNK_ENTRIES):
+            t, out = means[a:a + _CHUNK_ENTRIES], obs[a:a + _CHUNK_ENTRIES]
+            if scenario == "normal":
+                np.add(t, rng.normal(0.0, 1.0, size=t.shape), out=out)
+            elif scenario == "gamma":
+                out *= rng.standard_gamma(s, size=t.shape)
+            elif scenario == "poisson":
+                out[:] = rng.poisson(t)
+            elif scenario == "binomial":
+                out[:] = rng.binomial(int(s), t)
+            else:  # negbin, with out holding the success probabilities
+                out[:] = rng.negative_binomial(s, out)
 
 
 def _block_buffer(cfg: ScenarioConfig) -> np.ndarray:

@@ -1057,65 +1057,144 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def _estimate_artifacts(argv, out):
-    """Exit code, stderr and {name: bytes} of one ``estimate`` run into
-    ``out``, with every warning recorded."""
+def _cli_artifacts(argv, out):
+    """Exit code, stderr and {name: bytes} of one run of ``argv`` writing
+    into the new directory ``out`` (``estimate``'s ``--out`` is the
+    directory, the other commands' a file in it), with every warning
+    recorded."""
+    out.mkdir()
+    target = out if argv[0] == "estimate" else out / "out.csv"
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        code = main(argv + ["--out", str(out)])
+        code = main(argv + ["--out", str(target)])
     runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not runtime, [str(w.message) for w in runtime]
-    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} \
-        if out.is_dir() else {}
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     return code, err.getvalue().replace(str(out), "OUT"), files
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_estimate_edge_contracts(data):
-    # Small and degenerate files through every correction and rank flag:
-    # a documented exit code, no traceback or RuntimeWarning, strict JSON,
+def _assert_edge_contracts(argv, tmp):
+    # A documented exit code, no traceback or RuntimeWarning, strict JSON,
     # and the same bytes from a rerun.
+    first = _cli_artifacts(argv, tmp / "a")
+    code, err, files = first
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    for name, data in files.items():
+        if name.endswith(".json"):
+            _strict_json(data.decode())
+    assert _cli_artifacts(argv, tmp / "b") == first
+
+
+def _draw_edge_file(data, tmp):
+    """Draw a small edge matrix and write it to ``tmp``: (path, k, n, rng)."""
     k = data.draw(st.sampled_from([1, 2, 3, 5, 40]), "k")
     n = data.draw(st.sampled_from([2, 3, 4, 7]), "n")
     kind = data.draw(st.sampled_from(["zeros", "constant", "zero-column", "counts",
                                       "real", "negative", "huge"]), "kind")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), "seed"))
     y = _edge_matrix(kind, k, n, rng)
-    correction = data.draw(st.sampled_from(
-        ["normal", "poisson", "binomial", "negbin", "gamma", "ghs", "leek"]),
-        "correction")
-    if correction == "leek":
-        argv = ["--leek", str(data.draw(st.integers(1, n), "t"))]
-    elif correction in ("normal", "poisson"):
-        argv = ["--family", correction]
+    path = tmp / "y.csv"
+    if np.array_equal(y, np.floor(y)):  # plain integers, the streamed read
+        path.write_text("".join(",".join(str(int(v)) for v in row) + "\n"
+                                for row in y))
     else:
-        argv = ["--family", correction,
-                "--s", data.draw(st.sampled_from(["2", "5", "20"]), "s")]
+        write_matrix_csv(path, y)
+    return path, k, n, rng
+
+
+EDGE_FAMILIES = ["normal", "poisson", "binomial", "negbin", "gamma", "ghs"]
+
+
+def _draw_correction(data, n, choices):
+    correction = data.draw(st.sampled_from(choices), "correction")
+    if correction == "leek":
+        return ["--leek", str(data.draw(st.integers(1, n), "t"))]
+    if correction in ("normal", "poisson"):
+        return ["--family", correction]
+    return ["--family", correction,
+            "--s", data.draw(st.sampled_from(["2", "5", "20"]), "s")]
+
+
+def _draw_scaling(data, n):
     rank = data.draw(st.sampled_from(
         ["auto", "auto", "fixed:1", "fixed:2", f"fixed:{n}"]), "rank")
     scale = data.draw(st.sampled_from(["auto", "1e-300", "1", "1e300"]), "scale")
-    argv += ["--rank", rank, "--scale", scale]
-    if data.draw(st.booleans(), "transpose"):
-        argv.append("--transpose")
+    return ["--rank", rank, "--scale", scale]
+
+
+def _draw_basis(data, tmp, cols, rng):
+    """Write a reference basis over ``cols`` columns, or an edge case of one
+    (all zeros, or one column too many), to ``tmp``."""
+    kind = data.draw(st.sampled_from(["random", "random", "zeros", "wide"]), "basis")
+    r = data.draw(st.integers(1, cols), "basis_rows")
+    m = rng.normal(size=(r, cols + (kind == "wide")))
+    if kind == "zeros":
+        m[:] = 0.0
+    path = tmp / "m.csv"
+    write_matrix_csv(path, m)
+    return path
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_estimate_edge_contracts(data):
+    # Small and degenerate files through every correction and rank flag.
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "y.csv"
-        if np.array_equal(y, np.floor(y)):  # plain integers, the streamed read
-            path.write_text("".join(",".join(str(int(v)) for v in row) + "\n"
-                                    for row in y))
-        else:
-            write_matrix_csv(path, y)
-        argv = ["estimate", str(path)] + argv
-        first = _estimate_artifacts(argv, Path(tmp) / "a")
-        code, err, files = first
-        assert code in (0, 2, 3, 4), err
-        assert "Traceback" not in err
-        if "rank.json" in files:
-            _strict_json(files["rank.json"].decode())
-        assert _estimate_artifacts(argv, Path(tmp) / "b") == first
+        tmp = Path(tmp)
+        path, k, n, _ = _draw_edge_file(data, tmp)
+        argv = ["estimate", str(path)]
+        argv += _draw_correction(data, n, EDGE_FAMILIES + ["leek"])
+        argv += _draw_scaling(data, n)
+        if data.draw(st.booleans(), "transpose"):
+            argv.append("--transpose")
+        _assert_edge_contracts(argv, tmp)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_rank_sweep_edge_contracts(data):
+    # Small and degenerate files through every family, with rank grids that
+    # reach past n and reference bases that are degenerate or too wide.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path, k, n, rng = _draw_edge_file(data, tmp)
+        transpose = data.draw(st.booleans(), "transpose")
+        cols = k if transpose else n
+        argv = ["rank-sweep", str(path)] + _draw_correction(data, n, EDGE_FAMILIES)
+        argv += ["--r-grid", data.draw(st.sampled_from(
+            ["1", f"1:{cols}", f"{cols}", f"{cols + 1}"]), "r_grid")]
+        if data.draw(st.booleans(), "with_m"):
+            argv += ["--m", str(_draw_basis(data, tmp, cols, rng))]
+        if transpose:
+            argv.append("--transpose")
+        _assert_edge_contracts(argv, tmp)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_subsample_edge_contracts(data):
+    # Small and degenerate files through every family and rank flag, with
+    # row grids from one row to one past the file's.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path, k, n, rng = _draw_edge_file(data, tmp)
+        transpose = data.draw(st.booleans(), "transpose")
+        rows, cols = (n, k) if transpose else (k, n)
+        m = _draw_basis(data, tmp, cols, rng)
+        argv = ["subsample", str(path), str(m)]
+        argv += _draw_correction(data, n, EDGE_FAMILIES)
+        argv += ["--k-grid", data.draw(st.sampled_from(
+            ["1", f"{rows}", f"1:{rows}", f"{rows + 1}"]), "k_grid")]
+        argv += ["--reps", data.draw(st.sampled_from(["1", "2"]), "reps"),
+                 "--seed", data.draw(st.sampled_from(["0", "7"]), "seed")]
+        argv += _draw_scaling(data, cols)
+        if transpose:
+            argv.append("--transpose")
+        _assert_edge_contracts(argv, tmp)
 
 
 def _error_classes(base=LatentSpecError):

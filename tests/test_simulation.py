@@ -186,6 +186,23 @@ def test_block_draw_matches_whole_matrix_draw(scenario, n, k):
 
 
 @pytest.mark.parametrize("scenario", ["normal", "poisson", "binomial", "negbin", "gamma"])
+def test_uneven_chunks_carry_the_stream_across_sampler_calls(monkeypatch, scenario):
+    # Chunks of 61 entries, under one row, divide neither a row (n = 100)
+    # nor a 655-row block, so each sampler call must start mid-row where
+    # the last one stopped, in this block or the one before.
+    n = 100
+    cfg = ScenarioConfig(scenario=scenario, n=n, k=2 * (_BLOCK_ENTRIES // n) + 7,
+                         r=3, seed=41)
+    moments = _replication_moments(cfg, 2)[2]
+    monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 61)
+    draw = generate_scenario(cfg, 2)
+    _, _, theta, y, _, _ = _reference_generate_scenario(cfg, 2)
+    assert np.array_equal(draw.theta, theta)
+    assert np.array_equal(draw.y.values, y)
+    assert_moments_equal(_replication_moments(cfg, 2)[2], moments)
+
+
+@pytest.mark.parametrize("scenario", ["normal", "poisson", "binomial", "negbin", "gamma"])
 @pytest.mark.parametrize("n, k", list(_block_shapes()))
 def test_true_deltas_are_column_average_of_exact_variances(scenario, n, k):
     cfg = ScenarioConfig(scenario=scenario, n=n, k=k, r=min(3, n - 1), seed=41)
@@ -247,11 +264,11 @@ def test_generate_scenario_holds_two_matrices(scenario, n, k):
 
 @pytest.mark.parametrize("scenario", ["normal", "poisson", "binomial", "negbin", "gamma"])
 def test_replication_holds_no_k_by_n_array(scenario):
-    # phi (k x r), the block buffer and one block's draw: measured at 0.17
-    # of one k x n array (0.24 for negbin, whose sampler adds a block
-    # temporary), where a whole y took 1.29 (normal) and y with its column
-    # sort 2.09 (gamma).  The first call in a process adds one-time
-    # allocations, so it is made first.
+    # phi (k x r), the block buffer and one chunk's draw: measured at
+    # 0.116-0.125 of one k x n array (negbin highest), where block-sized
+    # sampler outputs took 0.17-0.24, a whole y 1.29 (normal) and y with
+    # its column sort 2.09 (gamma).  The first call in a process adds
+    # one-time allocations, so it is made first.
     n, k = 100, 10_000
     cfg = ScenarioConfig(scenario=scenario, n=n, k=k, r=3, seed=1)
     _replication_moments(cfg, 0)
@@ -261,7 +278,7 @@ def test_replication_holds_no_k_by_n_array(scenario):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.25 * 8 * k * n
+    assert peak <= 0.14 * 8 * k * n
 
 
 # ------------------------------------------------- streamed count reduction
@@ -319,9 +336,9 @@ def test_walked_moments_match_whole_draw(monkeypatch, scenario, n, k):
 @pytest.mark.parametrize("scenario, n, k", [("binomial", 100, 10_000),
                                              ("poisson", 20, 100_000)])
 def test_streamed_replication_holds_no_matrix(scenario, n, k):
-    # phi (k x r) and a few row blocks: measured at 0.40 (binomial, the
-    # first call in a process) and 0.28 (poisson) of one k x n array,
-    # where the whole draw holds two.
+    # phi (k x r), the block buffer and one chunk's draw: measured at 0.21
+    # (binomial, the first call in a process) and 0.19 (poisson) of one
+    # k x n array, where the whole draw holds two.
     cfg = ScenarioConfig(scenario=scenario, n=n, k=k, r=3, seed=1)
     tracemalloc.start()
     try:
@@ -333,9 +350,9 @@ def test_streamed_replication_holds_no_matrix(scenario, n, k):
 
 
 def test_streamed_binomial_replication_peak():
-    # No block of exact variances: phi, one block's theta and draw.
-    # Measured at 0.30 of one k x n array (0.37 with the variance pass)
-    # after a first call, which adds one-time allocations.
+    # No block of exact variances: phi, the block buffer and one chunk's
+    # draw.  Measured at 0.12 of one k x n array (0.37 with the variance
+    # pass) after a first call, which adds one-time allocations.
     n, k = 100, 10_000
     cfg = ScenarioConfig(scenario="binomial", n=n, k=k, r=3, seed=1)
     _replication_moments(cfg, 0)
