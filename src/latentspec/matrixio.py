@@ -11,12 +11,15 @@ digits after the point, which round-trips 64-bit floats exactly.
 A plain file, one that holds only the bytes 0-9, ',' and newline after an
 optional byte order mark and header row, with 1 to 15 digits in every cell
 and an optional final newline, is parsed straight from its bytes, in blocks
-of whole rows on the calling thread.  The cells are integers below 2^53,
-exact in float64, so the result has the same bits as the float parse that
-reads every other file.  Only ``read_moments_csv`` cuts the rows into
-ranges, one per CPU: it reduces each range, block by block, to its Moments
-without holding the matrix, and adds the partial sums.  They are exact
-integers, so the Moments do not depend on the split.
+of whole rows on the calling thread.  A block costs one scan for its
+separators, two uint16 passes over all its bytes per digit of its longest
+cell (up to four), and one gather at the separators per four digits
+(``_parse_block``).  The cells are integers below 2^53, exact in float64,
+so the result has the same bits as the float parse that reads every other
+file.  Only ``read_moments_csv`` cuts the rows into ranges, one per CPU: it
+reduces each range, block by block, to its Moments without holding the
+matrix, and adds the partial sums.  They are exact integers, so the Moments
+do not depend on the split.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ FLOAT_FORMAT = "%.17e"
 # bytes.  Every block costs a fixed run of numpy calls whose Python side
 # holds the GIL; only the passes over the block's bytes release it.  On a
 # 100000 x 20 count file (6.6 MB, 2-core host, median of 75 reductions) one
-# thread took 45, 46, 48 and 59 ms with blocks of 64, 128, 256 and 512 KiB,
-# and two threads 50, 39, 37 and 37 ms: small blocks keep the second thread
+# thread took 40, 35, 36 and 42 ms with blocks of 64, 128, 256 and 512 KiB,
+# and two threads 36, 28, 24 and 32 ms: small blocks keep the second thread
 # waiting on the GIL, large ones miss the cache.
 _BLOCK_BYTES = 1 << 18
 # ``read_moments_csv`` gives each thread a row range of at least this many
@@ -258,32 +261,54 @@ def _parse_block(b: np.ndarray, n: int, out: np.ndarray) -> int | None:
 
     b ends with a newline and out has room for every cell.  Returns the
     number of rows, or None when the block is not plain.
+
+    One scan finds the separators.  Then ``k[j + 1]`` is built over the
+    whole block, in uint16, as the value of the last digits up to byte j,
+    one more digit per step by Horner's rule: ten times the value up to
+    byte j - 1 after a digit, nothing after a separator, plus the digit at
+    j.  Three steps give every cell's last four digits at the byte before
+    its separator, gathered once into float64; each further group of four
+    digits is gathered from four bytes earlier.  All sums are exact
+    integers.
     """
-    sep = np.flatnonzero(b < ord("0"))
-    rows = np.count_nonzero(b == ord("\n"))
+    sep = (b < ord("0")).nonzero()[0]
+    rows = sep.size // n
     # Every byte is a digit, comma or newline, there are n separators per
-    # row, and every n-th separator is a newline.
+    # row, and every n-th separator is a newline, the others commas.
     if (b.max() > ord("9") or sep.size != rows * n
             or np.count_nonzero(b == ord(",")) != sep.size - rows
             or (b[sep[n - 1::n]] != ord("\n")).any()):
         return None
-    digits = np.empty_like(sep)
-    digits[0] = sep[0]
-    np.subtract(sep[1:], sep[:-1] + 1, out=digits[1:])
-    shortest, longest = digits.min(), digits.max()
-    if shortest < 1 or longest > _MAX_DIGITS:
+    # A cell's digits lie strictly between its separator and the one before.
+    gaps = np.subtract(sep[1:], sep[:-1])
+    longest = max(sep[0] + 1, gaps.max(initial=0)) - 1
+    if sep[0] == 0 or gaps.min(initial=2) < 2 or longest > _MAX_DIGITS:
         return None
-    # Right to left, one place at a time; all sums are exact integers.
-    last = sep - 1
+    # Index j + 1 holds byte j's digit; a separator's wraps, but a step
+    # multiplies it by 0 and no gather reads it.
+    digit = np.empty(b.size + 1, np.uint16)
+    digit[0] = 0
+    np.subtract(b, ord("0"), out=digit[1:], dtype=np.uint16)
+    k = digit
+    if longest > 1:
+        # k[j + 1] = ten[j - 1] * k[j] + digit[j + 1], where ten[j - 1] is 10
+        # when byte j - 1 is a digit and 0 when it is a separator.
+        ten = np.multiply(b[:-1] >= ord("0"), 10, dtype=np.uint16)
+        for _ in range(min(longest, 4) - 1):
+            nxt = np.empty_like(digit)
+            nxt[:2] = digit[:2]
+            np.multiply(ten, k[1:-1], out=nxt[2:])
+            np.add(nxt[2:], digit[2:], out=nxt[2:])
+            k = nxt
     vals = out[:sep.size]
-    np.subtract(b[last], ord("0"), out=vals)
-    for place in range(1, longest):
-        d = b[last - place] - ord("0")
-        if place >= shortest:
-            # Zero the cells that have no digit at this place; the index
-            # they read lies in an earlier cell, or wraps for the first.
-            d *= digits > place
-        vals += d * 10.0 ** place
+    np.copyto(vals, k.take(sep))
+    if longest > 4:
+        # Digits + 1 of each cell; a cell of no more than `place` digits
+        # gathers from an earlier cell, or wraps, and is masked.
+        width = np.diff(sep, prepend=-1)
+        for place in range(4, longest, 4):
+            part = k.take(sep - place) * (width > place + 1)
+            vals += part * 10.0 ** place
     return rows
 
 

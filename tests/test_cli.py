@@ -1058,21 +1058,24 @@ def _strict_json(text):
 
 
 def _cli_artifacts(argv, out):
-    """Exit code, stderr and {name: bytes} of one run of ``argv`` writing
-    into the new directory ``out`` (``estimate``'s ``--out`` is the
-    directory, the other commands' a file in it), with every warning
-    recorded."""
+    """Exit code, stderr and {relative path: bytes} of one run of ``argv``
+    writing into the new directory ``out`` (``estimate``'s ``--out`` is the
+    directory, ``simulate``'s config names its output_dir, and the other
+    commands' ``--out`` is a file in it), with every warning recorded."""
     out.mkdir()
-    target = out if argv[0] == "estimate" else out / "out.csv"
+    if argv[0] != "simulate":
+        target = out if argv[0] == "estimate" else out / "out.csv"
+        argv = argv + ["--out", str(target)]
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        code = main(argv + ["--out", str(target)])
+        code = main(argv)
     runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not runtime, [str(w.message) for w in runtime]
-    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    files = {p.relative_to(out).as_posix(): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()}
     return code, err.getvalue().replace(str(out), "OUT"), files
 
 
@@ -1195,6 +1198,55 @@ def test_subsample_edge_contracts(data):
         if transpose:
             argv.append("--transpose")
         _assert_edge_contracts(argv, tmp)
+
+
+def _simulate_artifacts(cfg, threads, out):
+    """_cli_artifacts of ``simulate`` on ``cfg`` with its output_dir in
+    ``out``; the config file sits next to ``out``."""
+    config = out.parent / f"{out.name}.json"
+    config.write_text(json.dumps(dict(cfg, output_dir=str(out / "run"))))
+    return _cli_artifacts(["simulate", str(config), "--threads", str(threads)], out)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_simulate_edge_contracts(data):
+    # Small cells of every scenario, with r inside and outside [1, n), seeds
+    # at both ends of their range, and a key replaced by a quoted, boolean,
+    # negative or empty-list value.  A rerun and the other thread count
+    # write the same tables; a rejected config writes nothing.
+    n = data.draw(st.sampled_from([2, 3, 4, 7]), "n")
+    cfg = {
+        "scenario": data.draw(st.sampled_from(
+            ["normal", "poisson", "binomial", "negbin", "gamma"]), "scenario"),
+        "n": n,
+        "k": data.draw(st.sampled_from([1, 2, 3, 5, 40]), "k"),
+        "r": data.draw(st.sampled_from([1, 1, n - 1, 0, n]), "r"),
+        "reps": data.draw(st.sampled_from([1, 2, 3]), "reps"),
+        "seed": data.draw(st.sampled_from([0, 1, 2 ** 64 - 1]), "seed"),
+    }
+    if data.draw(st.sampled_from([False, False, True]), "odd"):
+        key = data.draw(st.sampled_from(sorted(cfg)), "key")
+        cfg[key] = data.draw(st.sampled_from(
+            [str(cfg[key]), True, -2, []]), "value")
+    threads = data.draw(st.sampled_from([1, 2]), "threads")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        code, err, files = first = _simulate_artifacts(cfg, threads, tmp / "a")
+        assert code in (0, 2, 3, 4), err
+        assert "Traceback" not in err
+        if code == 2:
+            assert not files and not (tmp / "a" / "run").exists()
+        if files:
+            meta = _strict_json(files["run/meta.json"].decode())
+            assert meta["config"]["output_dir"] == str(tmp / "a" / "run")
+
+        def tables(run):
+            return run[0], run[1], {name: body for name, body in run[2].items()
+                                    if not name.endswith("meta.json")}
+
+        assert tables(_simulate_artifacts(cfg, threads, tmp / "b")) == tables(first)
+        assert tables(_simulate_artifacts(cfg, 3 - threads, tmp / "c")) == tables(first)
 
 
 def _error_classes(base=LatentSpecError):

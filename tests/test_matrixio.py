@@ -231,8 +231,10 @@ def test_streamed_moments_bit_equal_to_whole_matrix_property(data):
 
 @pytest.mark.parametrize("text", [
     "1,2\n3,4.5\n", "1,2\r\n3,4\r\n", "1, 2\n3,4\n", "-1,2\n3,4\n", "a,b\n",
-    "", "1,2\n\n3,4\n",
-], ids=["decimal", "crlf", "padded", "sign", "header-only", "empty", "blank-line"])
+    "", "1,2\n\n3,4\n", "1,,3", ",1\n2,3\n", "1,2,\n3,4,\n", "1,2\n3\n",
+    "1234567890123456,2\n3,4\n",
+], ids=["decimal", "crlf", "padded", "sign", "header-only", "empty", "blank-line",
+        "empty-cell", "empty-first-cell", "trailing-comma", "ragged", "16-digits"])
 def test_streamed_moments_none_for_non_plain(tmp_path, text):
     path = tmp_path / "m.csv"
     path.write_text(text)

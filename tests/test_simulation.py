@@ -349,22 +349,6 @@ def test_streamed_replication_holds_no_matrix(scenario, n, k):
     assert peak <= 0.6 * 8 * k * n
 
 
-def test_streamed_binomial_replication_peak():
-    # No block of exact variances: phi, the block buffer and one chunk's
-    # draw.  Measured at 0.12 of one k x n array (0.37 with the variance
-    # pass) after a first call, which adds one-time allocations.
-    n, k = 100, 10_000
-    cfg = ScenarioConfig(scenario="binomial", n=n, k=k, r=3, seed=1)
-    _replication_moments(cfg, 0)
-    tracemalloc.start()
-    try:
-        _replication_moments(cfg, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.33 * 8 * k * n
-
-
 def test_streamed_moments_fall_back_past_exact_sum_bound(monkeypatch):
     # Past the bound the counts are summed in block order too, still with
     # no whole draw.  k spans three blocks.
