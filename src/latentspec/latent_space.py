@@ -96,7 +96,8 @@ class CalibrationTrace:
 
 @dataclass(frozen=True)
 class RankEstimate:
-    """Outcome of thresholding the scaled eigenvalues."""
+    """Outcome of thresholding the scaled eigenvalues: ``r_hat`` is their
+    count above ``threshold``, made by ``estimate_rank`` alone."""
 
     r_hat: int
     scaled_eigenvalues: np.ndarray
@@ -106,13 +107,6 @@ class RankEstimate:
     eta: float
     k: int
     calibration: CalibrationTrace | None = None
-
-    def __post_init__(self):
-        expected = int(np.sum(self.scaled_eigenvalues > self.threshold))
-        if expected != self.r_hat:
-            raise InvalidParameterError(
-                f"rank {self.r_hat} does not match threshold count {expected}"
-            )
 
 
 @dataclass(frozen=True)
@@ -226,8 +220,9 @@ def estimate_rank(eigenvalues, k: int,
     ``eigenvalues`` is a descending eigenvalue vector.  The scale
     tau = c_k * k^(-eta) uses the configured coefficient, calibrating it
     first when set to "auto".  Negative eigenvalues can never be counted.
-    A count of zero is a legal outcome.  A numeric coefficient that scales
-    an eigenvalue past the float range raises InvalidParameterError.
+    A count of zero is a legal outcome.  Any coefficient, the "auto"
+    fallback included, that scales an eigenvalue past the float range
+    raises InvalidParameterError.
     """
     cfg = cfg if cfg is not None else ScalingConfig()
     if k < 1:
@@ -241,7 +236,7 @@ def estimate_rank(eigenvalues, k: int,
     tau = coeff * float(k) ** (-cfg.eta)
     with np.errstate(all="ignore"):
         scaled = vals / tau
-    if trace is None and not np.isfinite(scaled).all():
+    if not np.isfinite(scaled).all():
         raise InvalidParameterError(
             f"scale coefficient {coeff:g} gives eigenvalues / tau past the "
             f"float range (tau = {tau:g})"

@@ -119,12 +119,14 @@ def frobenius_norm(a) -> float:
     """Square root of the sum of squared entries.
 
     Total on any finite array (vector or matrix); no shape restrictions
-    beyond finiteness.
+    beyond finiteness.  A norm past the float range is inf, without a
+    warning.
     """
     arr = np.asarray(a, dtype=float)
     if arr.size and not np.isfinite(arr).all():
         raise InvalidParameterError("norm input contains non-finite entries")
-    return float(np.sqrt(np.sum(arr * arr)))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.sum(arr * arr)))
 
 
 def median(values) -> float:
@@ -155,6 +157,7 @@ class Moments:
     can be reduced to them without holding the matrix.  Moments made
     without column sums hold None in those five fields: the normal family,
     the pooled variance and an explicit correction read only the gram.
+    The gram and sums must be finite.
     """
 
     gram: np.ndarray
@@ -167,19 +170,24 @@ class Moments:
 
     def __post_init__(self):
         _check_data_shape(self.k, self.gram.shape[0])
+        sums = (self.gram, self.colsum, self.colsumsq)
+        if not all(np.isfinite(s).all() for s in sums if s is not None):
+            raise InvalidParameterError(
+                "the data's gram or column sums overflow the float range"
+            )
 
     @property
     def n(self) -> int:
         return self.gram.shape[0]
 
     def scaled_gram(self) -> np.ndarray:
-        """(Y^T Y) / k with its upper triangle mirrored, exactly symmetric.
+        """(Y^T Y) / k, as symmetric as the gram: numpy forms ``Y.T @ Y``
+        exactly symmetric, and ``sym_eigen`` symmetrises what it factors.
 
         The single division by k comes after accumulation, which keeps the
         sums well scaled.
         """
-        g = np.triu(self.gram) + np.triu(self.gram, 1).T
-        return g / float(self.k)
+        return self.gram / float(self.k)
 
 
 def is_integral(arr: np.ndarray) -> bool:
@@ -205,18 +213,21 @@ def data_moments(y, sums: bool = True) -> Moments:
     """
     arr = as_data(y).values
     k = arr.shape[0]
-    gram = arr.T @ arr
-    if not sums:
-        return Moments(gram, None, None, k, None, None, None)
-    ymin, ymax = float(arr.min()), float(arr.max())
-    integral = is_integral(arr)
-    if integral and ymin >= 0 and k * int(ymax) ** 2 < EXACT_SUM_BOUND:
-        colsum, colsumsq = arr.sum(axis=0), np.diag(gram).copy()
-    else:
-        cols = np.sort(arr, axis=0)
-        colsum = cols.sum(axis=0)
-        # Squared in place: the sort is the only k x n temporary.
-        colsumsq = np.square(cols, out=cols).sum(axis=0)
+    # Entries from about 1e154 overflow these sums to inf, which Moments
+    # rejects with one error.
+    with np.errstate(over="ignore"):
+        gram = arr.T @ arr
+        if not sums:
+            return Moments(gram, None, None, k, None, None, None)
+        ymin, ymax = float(arr.min()), float(arr.max())
+        integral = is_integral(arr)
+        if integral and ymin >= 0 and k * int(ymax) ** 2 < EXACT_SUM_BOUND:
+            colsum, colsumsq = arr.sum(axis=0), np.diag(gram).copy()
+        else:
+            cols = np.sort(arr, axis=0)
+            colsum = cols.sum(axis=0)
+            # Squared in place: the sort is the only k x n temporary.
+            colsumsq = np.square(cols, out=cols).sum(axis=0)
     return Moments(gram, colsum, colsumsq, k, ymin, ymax, integral)
 
 
@@ -303,8 +314,9 @@ def sym_eigen(a) -> SymmetricEigen:
     a : (n, n) array_like
         Symmetric matrix of any size.
         Symmetry is checked relative to the Frobenius norm:
-        max |A_ij - A_ji| <= 1e-10 * ||A||_F.  The matrix is symmetrised
-        before it is factored.
+        max |A_ij - A_ji| <= 1e-10 * ||A||_F.  The matrix is symmetrised,
+        as (A + A^T) / 2, before it is factored; this is the one place on
+        the estimate path that symmetrises.
 
     Returns
     -------

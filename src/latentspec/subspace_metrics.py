@@ -57,9 +57,8 @@ class RowSpaceBasis:
 
     @cached_property
     def row_gram(self) -> SymmetricEigen:
-        """Eigendecomposition of B B^T, made once on first use."""
-        gram = self.matrix @ self.matrix.T
-        return sym_eigen((gram + gram.T) / 2.0)
+        """Eigendecomposition of B B^T (exactly symmetric), made once."""
+        return sym_eigen(self.matrix @ self.matrix.T)
 
     @property
     def r(self) -> int:

@@ -968,6 +968,11 @@ def exit_case_files(tmp_path):
         "m_nan": [[np.nan, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
         "m_parallel": [[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]],
         "dk_inf": [1.0, np.inf, 1.0, 1.0],
+        "overflow": [[1e200, 2e200], [3e200, 1e200], [2e200, 2e200]],
+        # --leek 1 leaves an eigenvalue near -1.8e308, which even "auto"'s
+        # fallback coefficient 1 scales past the float range.
+        "leek_overflow": [[9.05732655185893145e+153, 9.02428080423874835e+153],
+                          [9.00368761715425753e+153, 9.00148748719756759e+153]],
     }
     paths = {"tmp": str(tmp_path)}
     for name, values in files.items():
@@ -1022,13 +1027,34 @@ SUBSAMPLE = "subsample {y} {m} --family poisson --k-grid 20 --reps 1"
                  id="subsample-seed-negative"),
     pytest.param(2, "estimate {huge} --family poisson --scale 1e-300 --out {tmp}/o",
                  id="estimate-scale-overflow"),
+    pytest.param(2, "estimate {overflow} --family gamma --s 2 --out {tmp}/o",
+                 id="estimate-moments-overflow"),
+    pytest.param(2, "estimate {leek_overflow} --leek 1 --out {tmp}/o",
+                 id="estimate-auto-fallback-overflow"),
 ])
 def test_error_exit_codes(exit_case_files, capsys, code, command):
     argv = [arg.format(**exit_case_files) for arg in command.split()]
     assert main(argv) == code
+    assert not os.path.exists(os.path.join(exit_case_files["tmp"], "o"))
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
+
+
+def test_memory_error_exits_2(exit_case_files, capsys, monkeypatch):
+    # A matrix too large for memory, such as the k x k gram of a tall file
+    # under --transpose, is one error line and exit 2, with nothing written.
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(cli, "data_moments", no_memory)
+    out = Path(exit_case_files["tmp"]) / "o"
+    assert main(["estimate", exit_case_files["y"], "--family", "poisson",
+                 "--transpose", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and not out.exists()
+    assert err.splitlines() == [
+        "error: out of memory: Unable to allocate 74.5 GiB for an array"]
 
 
 def _edge_matrix(kind, k, n, rng):
@@ -1047,6 +1073,8 @@ def _edge_matrix(kind, k, n, rng):
         return rng.normal(1.0, 2.0, size=(k, n))
     if kind == "negative":
         return -rng.poisson(4.0, size=(k, n)).astype(float)
+    if kind.startswith("real-"):  # real-1e100 and real-1e200
+        return rng.normal(1.0, 2.0, size=(k, n)) * float(kind[5:])
     return rng.integers(10 ** 14, 8 * 10 ** 14, size=(k, n)).astype(float)
 
 
@@ -1097,7 +1125,8 @@ def _draw_edge_file(data, tmp):
     k = data.draw(st.sampled_from([1, 2, 3, 5, 40]), "k")
     n = data.draw(st.sampled_from([2, 3, 4, 7]), "n")
     kind = data.draw(st.sampled_from(["zeros", "constant", "zero-column", "counts",
-                                      "real", "negative", "huge"]), "kind")
+                                      "real", "negative", "huge", "real-1e100",
+                                      "real-1e200"]), "kind")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), "seed"))
     y = _edge_matrix(kind, k, n, rng)
     path = tmp / "y.csv"

@@ -248,19 +248,15 @@ def test_default_grid_shape_and_anchor():
     assert trace.anchor == 0.0
 
 
-def test_rank_estimate_rejects_inconsistent_count():
-    from latentspec.latent_space import RankEstimate
-
-    with pytest.raises(InvalidParameterError):
-        RankEstimate(
-            r_hat=3,
-            scaled_eigenvalues=np.array([5.0, 2.0, 0.5]),
-            tau_tilde=1.0,
-            threshold=1.0,
-            scale_coefficient=1.0,
-            eta=1.0 / 3.0,
-            k=100,
-        )
+def test_estimate_rank_auto_fallback_overflow_raises():
+    # No plateau is eligible, and even the fallback coefficient 1 scales
+    # every eigenvalue past the float range (tau = 0.1): that is an error,
+    # as for a numeric coefficient, raised without a RuntimeWarning.
+    vals = np.full(3, 1e308)
+    trace = calibrate_scale(vals, 1000, ScalingConfig())[1]
+    assert trace.no_plateau and trace.chosen == 1.0
+    with pytest.raises(InvalidParameterError, match="scale coefficient 1 "):
+        estimate_rank(vals, k=1000)
 
 
 def test_scaling_config_validation():

@@ -15,6 +15,7 @@ from latentspec.errors import (
     NotSymmetricError,
 )
 import latentspec.matrix_core as matrix_core
+import latentspec.matrixio as matrixio
 from latentspec.matrix_core import (
     DataMatrix,
     _on_threads,
@@ -23,6 +24,9 @@ from latentspec.matrix_core import (
     median,
     sym_eigen,
 )
+from latentspec.matrixio import read_moments_csv
+from latentspec.simulation import ScenarioConfig, _replication_moments
+from latentspec.subspace_metrics import RowSpaceBasis
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -130,11 +134,29 @@ def test_gram_hand_multiply():
     np.testing.assert_allclose(got, [[5.0, 7.0], [7.0, 10.0]], rtol=0, atol=0)
 
 
-def test_gram_exactly_symmetric():
+def test_gram_exactly_symmetric(tmp_path, monkeypatch):
+    # Only sym_eigen symmetrises, so every gram the estimate path forms
+    # must come out of numpy exactly symmetric: whole matrices, a plain file
+    # reduced in three row ranges, streamed replications, and the B B^T of
+    # a non-orthonormal RowSpaceBasis.
     rng = np.random.default_rng(1)
+    grams = []
     for _ in range(20):
         y = rng.normal(size=(rng.integers(2, 40), rng.integers(2, 10)))
-        g = data_moments(y, sums=False).scaled_gram()
+        grams.append(data_moments(y, sums=False).scaled_gram())
+    monkeypatch.setattr(matrixio, "_RANGE_MIN_BYTES", 1000)
+    monkeypatch.setattr(matrixio, "cpu_count", lambda: 3)
+    path = tmp_path / "y.csv"
+    path.write_text("".join(",".join(map(str, row)) + "\n"
+                            for row in rng.poisson(50.0, size=(2000, 7))))
+    grams.append(read_moments_csv(path).scaled_gram())
+    for scenario in ("normal", "poisson"):
+        cfg = ScenarioConfig(scenario=scenario, n=9, k=20000, r=2, reps=1)
+        grams.append(_replication_moments(cfg, 0)[2].scaled_gram())
+    for r, n in [(1, 2), (3, 7), (20, 50)]:
+        b = RowSpaceBasis(rng.normal(size=(r, n))).matrix
+        grams.append(b @ b.T)
+    for g in grams:
         assert np.array_equal(g, g.T)
 
 
