@@ -390,6 +390,9 @@ def cmd_distance(args) -> int:
     m_hat = read_matrix_csv(args.m_hat)
     normalized = False
     if args.normalize_m:
+        # Each row is first scaled by a power of two, which is exact, to a
+        # largest entry in [0.5, 1), so that its squares cannot overflow.
+        m = np.ldexp(m, -np.frexp(np.abs(m).max(axis=1, keepdims=True))[1])
         norms = np.sqrt(np.sum(m * m, axis=1, keepdims=True))
         if np.any(norms == 0):
             raise RankDeficientError("cannot normalize a zero row")

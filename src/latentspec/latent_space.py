@@ -171,16 +171,19 @@ def calibrate_scale(eigenvalues, k: int,
     that tau = c_k * k^(-eta) is the midpoint's threshold.  With no
     eligible plateau, or one whose coefficient or scaled eigenvalues would
     not be finite, the coefficient falls back to 1.0 and the trace is
-    flagged.
+    flagged.  An anchor past the float range raises InvalidParameterError.
     """
     vals = np.asarray(eigenvalues, dtype=float).reshape(-1)
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
     pos = vals[vals > 0]
-    anchor = median(pos) if pos.size else 0.0
-    # A threshold past the float range is inf and counts nothing.
     with np.errstate(over="ignore"):
+        anchor = median(pos) if pos.size else 0.0
+        # A threshold past the float range is inf and counts nothing.
         thresholds = cfg.c_tilde * GRID * anchor
+    if anchor == np.inf:
+        raise InvalidParameterError(
+            "the median positive eigenvalue overflows the float range")
     counts = np.count_nonzero(vals > thresholds[:, None], axis=1)
 
     # Maximal runs of equal counts, from starts[i] to stops[i] inclusive.

@@ -38,6 +38,7 @@ from .matrix_core import (
     _block_moments,
     _block_sums,
     _on_threads,
+    check_columns,
     cpu_count,
 )
 
@@ -246,13 +247,15 @@ def read_moments_csv(path) -> Moments | None:
     below 2^53, exact in float64, and the totals have the bits of the
     whole-matrix ones whatever the split.  None when the file is not plain
     or its counts break that bound; ``read_matrix_csv`` then reads the
-    matrix.
+    matrix.  A first row of more than ``MAX_COLUMNS`` cells raises
+    InvalidParameterError before any block is parsed.
     """
     data = Path(path).read_bytes()
     layout = _plain_layout(data)
     if layout is None:
         return None
     start, n = layout
+    check_columns(n)
     return _reduce_ranges(data, n, _row_cuts(data, start))
 
 

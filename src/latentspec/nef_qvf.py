@@ -1,9 +1,11 @@
-"""The six one-parameter exponential families with quadratic variance.
+"""The six natural exponential families with quadratic variance (Morris 1982).
 
 Each family carries its mean-variance relation V[y] = b0 + b1*m + b2*m^2
 and a per-observation transform v(.) whose expectation equals the
 variance.  That last identity is what lets a column average of
 v(y) estimate the column-average variance without knowing the means.
+``_FAMILIES`` holds each family's facts in one row, which everything here
+reads: whether it takes ``s``, its (b0, b1, b2) and its support.
 
 All means are in MEAN parameterization: the binomial mean is s*p (not the
 probability p), the negative binomial mean is s*p/(1-p), and the gamma mean
@@ -16,10 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, OutOfSupportError
+from .errors import InvalidParameterError
 
-FAMILY_KINDS = ("normal", "poisson", "binomial", "negbin", "gamma", "ghs")
-_NEEDS_S = frozenset({"binomial", "negbin", "gamma", "ghs"})
+# One row per family: whether it takes s; (b0, b1, b2) as a function of s;
+# and the support: its lower end (None: the whole line), whether that end is
+# open, whether the support is whole numbers and whether s is its upper end.
+_FAMILIES = {
+    "normal": (False, lambda s: (1.0, 0.0, 0.0), None, False, False, False),
+    "poisson": (False, lambda s: (0.0, 1.0, 0.0), 0.0, False, True, False),
+    "binomial": (True, lambda s: (0.0, 1.0, -1.0 / s), 0.0, False, True, True),
+    "negbin": (True, lambda s: (0.0, 1.0, 1.0 / s), 0.0, False, True, False),
+    "gamma": (True, lambda s: (0.0, 0.0, 1.0 / s), 0.0, True, False, False),
+    "ghs": (True, lambda s: (s, 0.0, 1.0 / s), None, False, False, False),
+}
+FAMILY_KINDS = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -36,21 +48,17 @@ class Family:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise InvalidParameterError(f"unknown family kind {self.kind!r}")
-        if self.kind in _NEEDS_S:
-            if self.s is None or not np.isfinite(self.s) or self.s <= 0:
-                raise InvalidParameterError(
-                    f"family {self.kind!r} needs a positive parameter s"
-                )
-            if self.kind == "binomial":
-                if float(self.s) != int(self.s) or int(self.s) < 2:
-                    raise InvalidParameterError(
-                        "binomial trial count s must be an integer >= 2"
-                    )
-            object.__setattr__(self, "s", float(self.s))
-        elif self.s is not None:
-            raise InvalidParameterError(
-                f"family {self.kind!r} takes no parameter s"
-            )
+        kind, s = self.kind, self.s
+        takes_s, _, _, _, _, s_caps = _FAMILIES[kind]
+        if not takes_s and s is not None:
+            raise InvalidParameterError(f"family {kind!r} takes no parameter s")
+        if takes_s and (s is None or not np.isfinite(s) or s <= 0):
+            raise InvalidParameterError(f"family {kind!r} needs a positive parameter s")
+        # A trial count; s >= 2 keeps b2 = -1/s off -1, where 1 + b2 = 0.
+        if s_caps and (float(s) != int(s) or s < 2):
+            raise InvalidParameterError(f"{kind} trial count s must be an integer >= 2")
+        if takes_s:
+            object.__setattr__(self, "s", float(s))
 
 
 def normal() -> Family:
@@ -85,23 +93,10 @@ class QvfCoefficients:
     b1: float
     b2: float
 
-    def __post_init__(self):
-        if self.b2 == -1.0:
-            raise InvalidParameterError("b2 = -1 is not admissible")
-
 
 def qvf_coefficients(f: Family) -> QvfCoefficients:
     """Return (b0, b1, b2) with variance = b0 + b1*mean + b2*mean^2."""
-    s = f.s
-    table = {
-        "normal": (1.0, 0.0, 0.0),
-        "poisson": (0.0, 1.0, 0.0),
-        "binomial": (0.0, 1.0, -1.0 / s) if s else None,
-        "negbin": (0.0, 1.0, 1.0 / s) if s else None,
-        "gamma": (0.0, 0.0, 1.0 / s) if s else None,
-        "ghs": (s, 0.0, 1.0 / s) if s else None,
-    }
-    return QvfCoefficients(*table[f.kind])
+    return QvfCoefficients(*_FAMILIES[f.kind][1](f.s))
 
 
 def qvf_transform(c: QvfCoefficients, y, y2):
@@ -119,57 +114,31 @@ def qvf_transform(c: QvfCoefficients, y, y2):
     return out / (1.0 + c.b2)
 
 
-def _check_mean_region(f: Family, lo, hi) -> None:
-    """Raise unless means from ``lo`` up to ``hi`` lie in the mean region.
-
-    ``lo`` and ``hi`` are the smallest and largest of the means; a NaN
-    bound is not outside the region.
-    """
-    s = f.s
-    kind = f.kind
-    if kind == "poisson" and lo < 0:
-        raise OutOfSupportError("poisson mean must be >= 0")
-    if kind == "binomial" and (lo < 0 or hi > s):
-        raise OutOfSupportError(f"binomial mean must lie in [0, s={s:g}]")
-    if kind == "negbin" and lo < 0:
-        raise OutOfSupportError("negative binomial mean must be >= 0")
-    if kind == "gamma" and lo <= 0:
-        raise OutOfSupportError("gamma mean must be > 0")
-
-
-def variance_from_mean(f: Family, theta):
-    """Family variance at the given mean(s); raises outside the mean region."""
-    arr = np.asarray(theta, dtype=float)
-    # fmin and fmax skip NaN, so one NaN mean does not hide another's fault.
-    _check_mean_region(f, np.fmin.reduce(arr, axis=None, initial=np.inf),
-                       np.fmax.reduce(arr, axis=None, initial=-np.inf))
-    c = qvf_coefficients(f)
-    out = c.b0 + c.b1 * arr + c.b2 * arr * arr
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def in_support(f: Family, lo, hi, whole):
-    """Whether finite data lie inside the family's observation support.
+    """Whether finite values lie inside the family's observation support.
 
-    Counts (poisson, binomial, negbin) must be nonnegative whole numbers,
-    the binomial ones at most s; gamma observations must be positive.
-    Normal and GHS accept any finite real and read no argument.  Given the
-    range of a matrix (its smallest entry ``lo``, its largest ``hi`` and
-    ``whole``, whether every entry is a whole number) this is the verdict
-    on the whole matrix; given arrays (``lo = hi = y`` and
-    ``whole = (y == floor(y))``) the same rule is the entry mask.
+    Given the range of a matrix (its smallest entry ``lo``, its largest
+    ``hi`` and ``whole``, whether every entry is a whole number) this is the
+    verdict on the whole matrix; given arrays (``lo = hi = y`` and
+    ``whole = (y == floor(y))``) the same rule is the entry mask.  Given
+    the range of means and ``whole=True`` it is the check against the mean
+    region, the hull of the support.  A family whose support is the whole
+    line reads no argument.
     """
-    kind = f.kind
-    if kind in ("normal", "ghs"):
-        return np.full(np.shape(lo), True)
-    if kind == "gamma":
-        return lo > 0
-    ok = (lo >= 0) & whole
-    if kind == "binomial":
+    _, _, low, open_low, whole_only, s_caps = _FAMILIES[f.kind]
+    ok = np.full(np.shape(lo), True)
+    if low is not None:
+        ok = lo > low if open_low else lo >= low
+    if whole_only:
+        ok = ok & whole
+    if s_caps:
         ok = ok & (hi <= f.s)
     return ok
+
+
+def whole_support(f: Family) -> bool:
+    """Whether the family's observations are whole numbers."""
+    return _FAMILIES[f.kind][4]
 
 
 def family_to_dict(f: Family) -> dict:

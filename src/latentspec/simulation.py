@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, OutOfSupportError
 from .latent_space import ScalingConfig, estimate_latent_space
 from .matrix_core import (
     _BLOCK_ENTRIES,
@@ -34,9 +34,10 @@ from .matrix_core import (
     _block_moments,
     _block_sums,
     _on_threads,
+    check_columns,
     median,
 )
-from .nef_qvf import Family, _check_mean_region, qvf_coefficients
+from .nef_qvf import Family, in_support, qvf_coefficients, whole_support
 from .subspace_metrics import RowSpaceBasis, subspace_distance
 from .variance_estimation import dk_error, estimate_dk_qvf
 
@@ -48,8 +49,6 @@ SCENARIO_FAMILIES = {
     "negbin": Family("negbin", 10),
     "gamma": Family("gamma", 10),
 }
-# Scenarios whose observations are counts: nonnegative whole numbers.
-_COUNT_SCENARIOS = frozenset({"poisson", "binomial", "negbin"})
 
 # Counter-based generator; streams derive statelessly from (seed, rep_index).
 RNG_ALGORITHM = "philox4x64:key=(seed<<64)|rep_index"
@@ -99,6 +98,7 @@ class ScenarioConfig:
         scenario_family(self.scenario)  # rejects an unknown scenario
         if not (1 <= self.r < self.n):
             raise InvalidParameterError("need 1 <= r < n")
+        check_columns(self.n)
         if self.k < 1 or self.reps < 1:
             raise InvalidParameterError("k and reps must be >= 1")
         _check_key_part(self.seed, "seed")
@@ -204,7 +204,8 @@ class _Walk:
         """
         np.matmul(self.phi[start:stop], self.m, out=theta)
         c, s, rng = self.scale, self.family.s, self.rng
-        _check_mean_region(self.family, c * theta.min(), c * theta.max())
+        if not in_support(self.family, c * theta.min(), c * theta.max(), True):
+            raise OutOfSupportError(f"{self.family.kind} means outside the mean region")
         scenario = self.cfg.scenario
         if scenario == "gamma":  # gamma(s, theta / s) = (theta / s) * G(s)
             np.divide(theta, s, out=y)
@@ -281,7 +282,7 @@ def _replication_moments(cfg: ScenarioConfig, rep_index: int,
 
     moments = _block_moments(
         [_block_sums(blocks(), cfg.n, exact=False)], exact=False,
-        integral=cfg.scenario in _COUNT_SCENARIOS)
+        integral=whole_support(walk.family))
     return walk.family, walk.m, moments, walk.true_deltas
 
 

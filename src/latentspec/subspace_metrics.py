@@ -118,7 +118,8 @@ def subspace_distance(m, m_hat) -> float:
         Zero iff the row spaces coincide (for equal row counts); invariant
         under rotations of the estimate's rows.  The first term compares the
         reference rows themselves with their projection onto the estimate,
-        so the reference's scale matters unless the spans coincide.
+        so the reference's scale matters unless the spans coincide.  A
+        distance past the float range raises InvalidParameterError.
     """
     bm = as_basis(m)
     bh = as_basis(m_hat)
@@ -139,4 +140,7 @@ def subspace_distance(m, m_hat) -> float:
     v_m = _inv_row_gram(bm) @ (mm @ mh.T)
     term1 = frobenius_norm(mm.T - mh.T @ m_v)
     term2 = frobenius_norm(mh.T - mm.T @ v_m)
-    return float(np.sqrt(term1 ** 2 + term2 ** 2) / np.sqrt(n * r_hat))
+    d = float(np.sqrt(term1 ** 2 + term2 ** 2) / np.sqrt(n * r_hat))
+    if d == np.inf:
+        raise InvalidParameterError("the distance overflows the float range")
+    return d

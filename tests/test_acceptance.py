@@ -20,8 +20,8 @@ from latentspec.latent_space import (
     estimate_latent_space,
 )
 from latentspec.matrix_core import frobenius_norm, sym_eigen
-from family_helpers import v_value
-from latentspec.nef_qvf import binomial, poisson, variance_from_mean
+from family_helpers import v_value, variance_from_mean
+from latentspec.nef_qvf import binomial, poisson
 from latentspec.simulation import (
     ScenarioConfig,
     generate_scenario,

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latentspec
-from latentspec import cli, matrixio
+from latentspec import cli, matrix_core, matrixio
 from latentspec.cli import build_parser, main
 from latentspec.errors import (
     LatentSpecError,
@@ -627,6 +627,11 @@ def test_distance_normalize_m(tmp_path, capsys):
     main(["distance", str(p_norm), str(p_hat)])
     d2 = float(capsys.readouterr().out.strip().splitlines()[0])
     assert d1 == pytest.approx(d2, abs=1e-14)
+    # Scaling rows by a power of two is exact, so rows past 1e154, whose
+    # squares overflow, normalize to the same bits.
+    write_matrix_csv(p_scaled, scaled * 2.0 ** 600)
+    assert main(["distance", str(p_scaled), str(p_hat), "--normalize-m"]) == 0
+    assert float(capsys.readouterr().out.strip().splitlines()[0]) == d1
 
 
 def test_distance_rank_deficient_exit(tmp_path):
@@ -1057,6 +1062,79 @@ def test_memory_error_exits_2(exit_case_files, capsys, monkeypatch):
         "error: out of memory: Unable to allocate 74.5 GiB for an array"]
 
 
+def test_dk_file_near_float_range(tmp_path, capsys):
+    # Corrections of -1e308 push the adjusted gram's entries, and then the
+    # median positive eigenvalue, to the top of the float range.
+    (tmp_path / "y.csv").write_text("1,2\n3,4\n5,6\n")
+    (tmp_path / "dk.csv").write_text("-1e308,-1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["estimate", str(tmp_path / "y.csv"),
+                     "--dk-file", str(tmp_path / "dk.csv"),
+                     "--out", str(tmp_path / "o")])
+    assert code in (0, 2, 4)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert sum(line.startswith("error: ") for line in err.splitlines()) == (code == 2)
+
+
+CAP = 5
+
+
+def _cap_case(tmp_path, command, n):
+    """argv of ``command`` on a file of n columns; ``out`` is its output."""
+    y = np.random.default_rng(3).poisson(5.0, size=(40, n)).astype(float)
+    path = tmp_path / "y.csv"
+    if command == "estimate-real":
+        write_matrix_csv(path, y + 0.5)
+    elif command == "transpose":
+        write_matrix_csv(path, y.T)
+    else:
+        path.write_text(plain_text(y))
+    write_matrix_csv(tmp_path / "m.csv", np.eye(n)[:1])
+    out = tmp_path / "out"
+    family = ["--family", "gamma" if command == "estimate-real" else "poisson"]
+    family += ["--s", "4"] if command == "estimate-real" else []
+    if command == "simulate":
+        (tmp_path / "sim.json").write_text(json.dumps(
+            {"scenario": "poisson", "n": n, "k": 50, "r": 1, "reps": 1,
+             "output_dir": str(out)}))
+        return ["simulate", str(tmp_path / "sim.json"), "--threads", "1"], out
+    if command == "rank-sweep":
+        return ["rank-sweep", str(path), *family, "--r-grid", "1",
+                "--out", str(out)], out
+    if command == "subsample":
+        return ["subsample", str(path), str(tmp_path / "m.csv"), *family,
+                "--k-grid", "20", "--reps", "1", "--rank", "fixed:1",
+                "--out", str(out)], out
+    argv = ["estimate", str(path), *family, "--rank", "fixed:1", "--out", str(out)]
+    return argv + ["--transpose"] * (command == "transpose"), out
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at-cap", "past-cap"])
+@pytest.mark.parametrize("command", ["estimate-plain", "estimate-real", "transpose",
+                                     "rank-sweep", "subsample", "simulate"])
+def test_column_cap(tmp_path, capsys, monkeypatch, command, over):
+    # n at the cap runs; one column past it is one error line and exit 2,
+    # with no gram formed and nothing written.
+    monkeypatch.setattr(matrix_core, "MAX_COLUMNS", CAP)
+    if over:
+        def no_gram(*args):
+            raise AssertionError("a gram was formed past the column cap")
+
+        monkeypatch.setattr(matrixio, "_reduce_ranges", no_gram)
+        monkeypatch.setattr(cli, "data_moments", no_gram)
+    argv, out = _cap_case(tmp_path, command, CAP + over)
+    code = main(argv)
+    err = capsys.readouterr().err
+    if not over:
+        assert code == 0, err
+        return
+    assert code == 2 and not out.exists()
+    lines = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(lines) == 1 and f"cap of {CAP}" in lines[0], err
+
+
 def _edge_matrix(kind, k, n, rng):
     """A k x n matrix of one of the edge kinds the estimate property draws."""
     if kind == "zeros":
@@ -1088,15 +1166,16 @@ def _strict_json(text):
 def _cli_artifacts(argv, out):
     """Exit code, stderr and {relative path: bytes} of one run of ``argv``
     writing into the new directory ``out`` (``estimate``'s ``--out`` is the
-    directory, ``simulate``'s config names its output_dir, and the other
-    commands' ``--out`` is a file in it), with every warning recorded."""
+    directory, ``simulate``'s config names its output_dir, ``distance``
+    prints, and the other commands' ``--out`` is a file in it), with every
+    warning recorded.  What ``distance`` prints is kept as ``stdout``."""
     out.mkdir()
-    if argv[0] != "simulate":
+    if argv[0] not in ("simulate", "distance"):
         target = out if argv[0] == "estimate" else out / "out.csv"
         argv = argv + ["--out", str(target)]
-    err = io.StringIO()
+    stdout, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = main(argv)
@@ -1104,6 +1183,8 @@ def _cli_artifacts(argv, out):
     assert not runtime, [str(w.message) for w in runtime]
     files = {p.relative_to(out).as_posix(): p.read_bytes()
              for p in sorted(out.rglob("*")) if p.is_file()}
+    if argv[0] == "distance":
+        files["stdout"] = stdout.getvalue().encode()
     return code, err.getvalue().replace(str(out), "OUT"), files
 
 
@@ -1117,6 +1198,8 @@ def _assert_edge_contracts(argv, tmp):
     for name, data in files.items():
         if name.endswith(".json"):
             _strict_json(data.decode())
+    if argv[0] == "distance" and code == 0:  # the value, then the record
+        _strict_json(files["stdout"].decode().splitlines()[-1])
     assert _cli_artifacts(argv, tmp / "b") == first
 
 
@@ -1141,10 +1224,20 @@ def _draw_edge_file(data, tmp):
 EDGE_FAMILIES = ["normal", "poisson", "binomial", "negbin", "gamma", "ghs"]
 
 
-def _draw_correction(data, n, choices):
+# Explicit corrections near both ends of the float range, and ordinary ones.
+DK_ENTRIES = [-1.7e308, -1e308, -9e307, 9e307, 1e308, 1.7e308, -1.0, 0.0, 0.5, 3.0]
+
+
+def _draw_correction(data, n, choices, tmp=None, cols=None):
+    """Correction flags; a ``--dk-file`` of ``cols`` entries goes to ``tmp``."""
     correction = data.draw(st.sampled_from(choices), "correction")
     if correction == "leek":
         return ["--leek", str(data.draw(st.integers(1, n), "t"))]
+    if correction == "dk-file":
+        dk = data.draw(st.lists(st.sampled_from(DK_ENTRIES), min_size=cols,
+                                max_size=cols), "dk")
+        write_matrix_csv(tmp / "dk.csv", dk)
+        return ["--dk-file", str(tmp / "dk.csv")]
     if correction in ("normal", "poisson"):
         return ["--family", correction]
     return ["--family", correction,
@@ -1171,17 +1264,20 @@ def _draw_basis(data, tmp, cols, rng):
     return path
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=140, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_estimate_edge_contracts(data):
-    # Small and degenerate files through every correction and rank flag.
+    # Small and degenerate files through every correction and rank flag,
+    # explicit corrections near +-1e308 among them.
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         path, k, n, _ = _draw_edge_file(data, tmp)
+        transpose = data.draw(st.booleans(), "transpose")
         argv = ["estimate", str(path)]
-        argv += _draw_correction(data, n, EDGE_FAMILIES + ["leek"])
+        argv += _draw_correction(data, n, EDGE_FAMILIES + ["leek", "dk-file"],
+                                 tmp, k if transpose else n)
         argv += _draw_scaling(data, n)
-        if data.draw(st.booleans(), "transpose"):
+        if transpose:
             argv.append("--transpose")
         _assert_edge_contracts(argv, tmp)
 
@@ -1226,6 +1322,36 @@ def test_subsample_edge_contracts(data):
         argv += _draw_scaling(data, cols)
         if transpose:
             argv.append("--transpose")
+        _assert_edge_contracts(argv, tmp)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_distance_edge_contracts(data):
+    # Bases of the edge kinds, orthonormal or not, from near 1e-300 to near
+    # 1e306, with one more row or column than fits, with and without
+    # --normalize-m.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        n = data.draw(st.sampled_from([2, 3, 4, 7]), "n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), "seed"))
+        argv = ["distance"]
+        for name in ("m", "m_hat"):
+            rows = data.draw(st.integers(1, n + 1), f"{name}_rows")
+            cols = n + data.draw(st.sampled_from([0, 0, 0, 1]), f"{name}_wide")
+            kind = data.draw(st.sampled_from(
+                ["orthonormal", "orthonormal", "zeros", "constant", "real",
+                 "negative", "real-1e-300", "real-1e100", "real-1e200",
+                 "real-1e306"]), f"{name}_kind")
+            if kind == "orthonormal":
+                q = np.linalg.qr(rng.normal(size=(cols, cols)))[0]
+                matrix = q[:rows] if rows <= cols else rng.normal(size=(rows, cols))
+            else:
+                matrix = _edge_matrix(kind, rows, cols, rng)
+            write_matrix_csv(tmp / f"{name}.csv", matrix)
+            argv.append(str(tmp / f"{name}.csv"))
+        if data.draw(st.booleans(), "normalize"):
+            argv.append("--normalize-m")
         _assert_edge_contracts(argv, tmp)
 
 

@@ -129,6 +129,16 @@ def test_calibrate_scale_all_nonpositive_falls_back():
     assert trace.no_plateau and chosen == 1.0
 
 
+def test_calibrate_scale_overflowing_anchor_raises():
+    # The median of two eigenvalues near 1e308 overflows; that is one error,
+    # not a RuntimeWarning and an infinite anchor in the trace.
+    with pytest.raises(InvalidParameterError, match="median positive eigenvalue"):
+        calibrate_scale(np.array([1e308, 1e308]), 1000, ScalingConfig())
+    chosen, trace = calibrate_scale(np.array([1e308, 0.5e308, 1.0]), 1000,
+                                    ScalingConfig())
+    assert trace.anchor == 0.5e308
+
+
 def _loop_calibrate_scale(vals, k, cfg):
     """Reference: the plateau scan as one rank count per grid value and a
     run-by-run search, the form the array scan replaced."""

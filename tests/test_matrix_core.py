@@ -236,6 +236,23 @@ def test_eigen_deterministic():
     assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
 
 
+def test_eigen_symmetrises_near_float_range_without_overflow(monkeypatch):
+    # Entries near the top of the float range (an explicit correction of
+    # -1e308 puts them there) factor without an overflowing average, and an
+    # exactly symmetric input, signed zeros included, is factored as it is.
+    a = np.array([[1e308, -0.0, 1.5e308], [-0.0, 1e308, 0.0],
+                  [1.5e308, 0.0, -1e308]])
+    seen, eigh = [], np.linalg.eigh
+
+    def spy(m):
+        seen.append(m.copy())
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    sym_eigen(a)
+    assert seen[0].tobytes() == a.tobytes()
+
+
 def test_eigen_rejects_asymmetric():
     with pytest.raises(NotSymmetricError):
         sym_eigen(np.array([[1.0, 2.0], [0.5, 1.0]]))

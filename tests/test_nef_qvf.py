@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from family_helpers import v_value
+from family_helpers import old_mean_region_check, v_value, variance_from_mean
 
 from latentspec.errors import InvalidParameterError, OutOfSupportError
 from latentspec.matrix_core import is_integral
@@ -19,7 +19,6 @@ from latentspec.nef_qvf import (
     normal,
     poisson,
     qvf_coefficients,
-    variance_from_mean,
 )
 
 ALL_FAMILIES = [
@@ -145,6 +144,27 @@ def test_variance_region_check_skips_nan():
         with pytest.raises(OutOfSupportError):
             variance_from_mean(f, [nan, bad, nan])
     assert variance_from_mean(gamma(10), np.empty((0, 3))).shape == (0, 3)
+
+
+@pytest.mark.parametrize("f", ALL_FAMILIES + [binomial(2)],
+                         ids=lambda f: f"{f.kind}-{f.s}")
+def test_mean_region_is_hull_of_support(f):
+    # in_support with whole=True rejects exactly the finite ranges of means
+    # that the family-by-family reference rule rejects.
+    tiny = np.nextafter(0.0, 1.0)
+    ends = [0.0, -0.0, tiny, -tiny, 0.5, 1.0, -1.0, 1e300, -1e300]
+    if f.s is not None:
+        ends += [f.s, np.nextafter(f.s, np.inf), np.nextafter(f.s, 0.0), f.s + 1]
+    for lo in ends:
+        for hi in ends:
+            if lo > hi:
+                continue
+            try:
+                old_mean_region_check(f, lo, hi)
+                old = True
+            except OutOfSupportError:
+                old = False
+            assert bool(in_support(f, lo, hi, True)) == old, (lo, hi)
 
 
 # --------------------------------------------------------------- validation

@@ -136,6 +136,14 @@ def test_distance_warns_on_non_orthonormal_estimate():
     assert np.isfinite(d)
 
 
+def test_distance_overflow_raises():
+    # A non-orthonormal estimate near 1e100 puts the distance's terms past
+    # the float range: one error, not an infinite distance.
+    with pytest.warns(NotOrthonormalWarning), \
+            pytest.raises(InvalidParameterError, match="overflows"):
+        subspace_distance(np.array([[0.6, 0.8]]), np.array([[3e100, 1e100]]))
+
+
 def test_distance_rejects_rank_deficient_reference():
     m = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
     m_hat = orthonormal_rows(np.random.default_rng(7).normal(size=(2, 3)))
