@@ -19,6 +19,7 @@ import functools
 import json
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,9 @@ EXIT_DEGENERATE = 4
 MAX_K_DEFAULT = 10_000
 MAX_N_DEFAULT = 100
 MAX_REPS_DEFAULT = 100
+
+# The ScenarioConfig attributes that lead each summary.csv and reps.csv row.
+_CELL_COLUMNS = ("scenario", "n", "k", "r")
 
 
 class CliError(Exception):
@@ -110,11 +114,22 @@ def _load_moments(path, transpose: bool, fam: Family | None) -> Moments:
     return moments
 
 
+def _csv_cell(value):
+    """None is an empty cell, a bool 0 or 1, a float ``format_value``."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return format_value(value)
+    return value
+
+
 def _write_table(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([_csv_cell(v) for v in row] for row in rows)
 
 
 def _family_from_args(args) -> Family | None:
@@ -205,30 +220,27 @@ def _variance_estimate(args, moments: Moments, fam: Family | None) -> VarianceEs
     return explicit(deltas)
 
 
+def _json_value(value):
+    """An array as a list, a record with ``to_dict`` as its dict."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value.to_dict() if hasattr(value, "to_dict") else value
+
+
 def _rank_record(est, dk) -> dict:
+    """rank.json's record; under ``--rank auto`` each field of the
+    RankEstimate is a key too."""
     rec = {
         "r_hat": est.r_hat,
         "rank_mode": "auto" if est.fixed_rank is None else "fixed",
         "fixed_rank": est.fixed_rank,
         "dk_method": dk.method,
         "negative_flag": dk.negative_flag,
-        "eigenvalues": [float(v) for v in est.eigen.eigenvalues],
+        "eigenvalues": est.eigen.eigenvalues.tolist(),
     }
     if est.rank is not None:
-        rank = est.rank
-        rec.update(
-            {
-                "tau_tilde": rank.tau_tilde,
-                "c_tilde": rank.threshold,
-                "eta": rank.eta,
-                "scale_coefficient": rank.scale_coefficient,
-                "k": rank.k,
-                "scaled_eigenvalues": [float(v) for v in rank.scaled_eigenvalues],
-                "calibration": (
-                    rank.calibration.to_dict() if rank.calibration else None
-                ),
-            }
-        )
+        rec.update((f.name, _json_value(getattr(est.rank, f.name)))
+                   for f in fields(est.rank))
     return rec
 
 
@@ -285,7 +297,8 @@ def _config_cells(cfg: dict) -> list[dict]:
 
 
 def cmd_simulate(args) -> int:
-    from .simulation import RNG_ALGORITHM, ScenarioConfig, run_replications
+    from .simulation import (RNG_ALGORITHM, RepRecord, ReplicationStats,
+                             ScenarioConfig, run_replications)
 
     threads = _resolve_threads(args.threads)
     try:
@@ -335,56 +348,42 @@ def cmd_simulate(args) -> int:
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
 
-    summary_rows = []
-    rep_rows = []
+    rep_columns = [f.name for f in fields(RepRecord)]
+    summary_rows, rep_rows = [], []
     for sc in configs:
         stats = run_replications(sc, threads=threads)
-        summary_rows.append(
-            [
-                sc.scenario, sc.n, sc.k, sc.r, reps,
-                stats.r_correct, stats.r_under, stats.r_over,
-                stats.failed, stats.no_plateau,
-                format_value(stats.d_median_fixed),
-                format_value(stats.d_median_auto),
-                format_value(stats.rho_median),
-            ]
-        )
-        for rec in stats.records:
-            rep_rows.append(
-                [
-                    sc.scenario, sc.n, sc.k, sc.r, rec.rep_index,
-                    "" if rec.r_hat is None else rec.r_hat,
-                    "" if rec.d_fixed is None else format_value(rec.d_fixed),
-                    "" if rec.d_auto is None else format_value(rec.d_auto),
-                    "" if rec.rho is None else format_value(rec.rho),
-                    "" if rec.scale_coefficient is None
-                    else format_value(rec.scale_coefficient),
-                    "" if rec.no_plateau is None else int(rec.no_plateau),
-                    rec.error or "",
-                ]
-            )
+        cell = [getattr(sc, name) for name in _CELL_COLUMNS]
+        summary_rows.append(cell + [reps] + [
+            getattr(stats, name) for name in stats.summary_columns])
+        rep_rows.extend(cell + [getattr(rec, name) for name in rep_columns]
+                        for rec in stats.records)
 
-    _write_table(
-        out / "summary.csv",
-        ["scenario", "n", "k", "r", "reps", "r_correct", "r_under", "r_over",
-         "failed", "no_plateau", "d_median_fixed", "d_median_auto",
-         "rho_median"],
-        summary_rows,
-    )
-    _write_table(
-        out / "reps.csv",
-        ["scenario", "n", "k", "r", "rep", "r_hat", "d_fixed", "d_auto", "rho",
-         "scale_coefficient", "no_plateau", "error"],
-        rep_rows,
-    )
+    _write_table(out / "summary.csv",
+                 [*_CELL_COLUMNS, "reps", *ReplicationStats.summary_columns],
+                 summary_rows)
+    _write_table(out / "reps.csv",
+                 [*_CELL_COLUMNS,
+                  *("rep" if name == "rep_index" else name for name in rep_columns)],
+                 rep_rows)
     meta = {"rng": RNG_ALGORITHM, "seed": seed, "reps": reps, "config": cfg}
     (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     print(f"wrote {out / 'summary.csv'} ({len(summary_rows)} cells)")
     return 0
 
 
+def _basis(path, matrix):
+    """The RowSpaceBasis of ``matrix``, read from ``path``, which its
+    InvalidParameterError names."""
+    from .subspace_metrics import RowSpaceBasis
+
+    try:
+        return RowSpaceBasis(matrix)
+    except InvalidParameterError as exc:
+        raise CliError(f"{path}: {exc}")
+
+
 def cmd_distance(args) -> int:
-    from .subspace_metrics import subspace_distance
+    from .subspace_metrics import NOT_ORTHONORMAL, subspace_distance
 
     m = read_matrix_csv(args.m)
     m_hat = read_matrix_csv(args.m_hat)
@@ -398,21 +397,19 @@ def cmd_distance(args) -> int:
             raise RankDeficientError("cannot normalize a zero row")
         m = m / norms
         normalized = True
-    ortho = True
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        d = subspace_distance(m, m_hat)
-        for w in caught:
-            if issubclass(w.category, NotOrthonormalWarning):
-                ortho = False
-                print(f"warning: {w.message}", file=sys.stderr)
+    basis, basis_hat = _basis(args.m, m), _basis(args.m_hat, m_hat)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotOrthonormalWarning)
+        d = subspace_distance(basis, basis_hat)
+    if not basis_hat.orthonormal:
+        print(f"warning: {NOT_ORTHONORMAL}", file=sys.stderr)
     record = {
         "d": d,
         "n": int(m.shape[1]),
         "rows_m": int(m.shape[0]),
         "rows_m_hat": int(m_hat.shape[0]),
         "normalized_m": normalized,
-        "m_hat_orthonormal": ortho,
+        "m_hat_orthonormal": basis_hat.orthonormal,
     }
     print(format_value(d))
     print(json.dumps(record, sort_keys=True))
@@ -455,7 +452,7 @@ def cmd_subsample(args) -> int:
                 dists.append(subspace_distance(m, est.m_hat))
         finite = [v for v in dists if np.isfinite(v)]
         med = median(finite) if finite else float("nan")
-        rows.append([kv, format_value(med)])
+        rows.append([kv, med])
 
     out = Path(args.out)
     _write_table(out, ["k", "d_median"], rows)
@@ -479,13 +476,9 @@ def cmd_rank_sweep(args) -> int:
     dk = estimate_dk_qvf(moments, fam)
     eig = estimate_latent_space(moments, dk, rank=n).eigen
 
-    rows = []
-    for r in r_grid:
-        m_hat = eig.eigenvectors[:, :r].T
-        if m is not None:
-            rows.append([r, format_value(subspace_distance(m, m_hat))])
-        else:
-            rows.append([r, ""])
+    rows = [[r, None if m is None
+             else subspace_distance(m, eig.eigenvectors[:, :r].T)]
+            for r in r_grid]
 
     out = Path(args.out)
     _write_table(out, ["r", "d"], rows)

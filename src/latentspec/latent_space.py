@@ -97,12 +97,13 @@ class CalibrationTrace:
 @dataclass(frozen=True)
 class RankEstimate:
     """Outcome of thresholding the scaled eigenvalues: ``r_hat`` is their
-    count above ``threshold``, made by ``estimate_rank`` alone."""
+    count above ``c_tilde``, made by ``estimate_rank`` alone.  Every field
+    is a key of ``rank.json`` under ``--rank auto``."""
 
     r_hat: int
     scaled_eigenvalues: np.ndarray
     tau_tilde: float
-    threshold: float
+    c_tilde: float
     scale_coefficient: float
     eta: float
     k: int
@@ -248,7 +249,7 @@ def estimate_rank(eigenvalues, k: int,
         r_hat=int(np.count_nonzero(scaled > cfg.c_tilde)),
         scaled_eigenvalues=scaled,
         tau_tilde=tau,
-        threshold=cfg.c_tilde,
+        c_tilde=cfg.c_tilde,
         scale_coefficient=coeff,
         eta=cfg.eta,
         k=int(k),

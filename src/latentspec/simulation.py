@@ -288,7 +288,12 @@ def _replication_moments(cfg: ScenarioConfig, rep_index: int,
 
 @dataclass(frozen=True)
 class RepRecord:
-    """Per-replication outcomes; ``error`` is set when the rep failed."""
+    """Per-replication outcomes; ``error`` is set when the rep failed.
+
+    The fields, in order, are the columns of ``reps.csv`` (``rep_index``
+    under the header ``rep``), so a new one goes before ``error``, which
+    stays last.
+    """
 
     rep_index: int
     r_hat: int | None = None
@@ -307,6 +312,10 @@ class ReplicationStats:
     config: ScenarioConfig
     records: tuple[RepRecord, ...]
 
+    # The attributes written, in order, as the columns of summary.csv.
+    summary_columns = ("r_correct", "r_under", "r_over", "failed", "no_plateau",
+                       "d_median_fixed", "d_median_auto", "rho_median")
+
     @property
     def completed(self) -> int:
         return sum(1 for rec in self.records if rec.error is None)
@@ -320,42 +329,27 @@ class ReplicationStats:
         """Replications whose scale calibration found no plateau."""
         return sum(1 for rec in self.records if rec.no_plateau)
 
-    def _counts(self) -> tuple[int, int, int]:
-        correct = under = over = 0
-        r = self.config.r
-        for rec in self.records:
-            if rec.error is not None or rec.r_hat is None:
-                continue
-            if rec.r_hat == r:
-                correct += 1
-            elif rec.r_hat < r:
-                under += 1
-            else:
-                over += 1
-        return correct, under, over
+    def _rank_offsets(self) -> list[int]:
+        """r_hat - r of each replication that completed."""
+        return [rec.r_hat - self.config.r for rec in self.records
+                if rec.error is None and rec.r_hat is not None]
 
     @property
     def r_correct(self) -> int:
-        return self._counts()[0]
+        return sum(e == 0 for e in self._rank_offsets())
 
     @property
     def r_under(self) -> int:
-        return self._counts()[1]
+        return sum(e < 0 for e in self._rank_offsets())
 
     @property
     def r_over(self) -> int:
-        return self._counts()[2]
+        return sum(e > 0 for e in self._rank_offsets())
 
     def _median(self, attr: str) -> float:
-        vals = [
-            getattr(rec, attr)
-            for rec in self.records
-            if rec.error is None and getattr(rec, attr) is not None
-            and math.isfinite(getattr(rec, attr))
-        ]
-        if not vals:
-            return float("nan")
-        return median(vals)
+        vals = [getattr(rec, attr) for rec in self.records if rec.error is None]
+        vals = [v for v in vals if v is not None and math.isfinite(v)]
+        return median(vals) if vals else float("nan")
 
     @property
     def d_median_fixed(self) -> float:

@@ -24,6 +24,7 @@ from .matrix_core import SymmetricEigen, _as_2d_float, frobenius_norm, sym_eigen
 RANK_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-10
 MAX_CONDITION = 1e12
+NOT_ORTHONORMAL = "estimated basis rows are not orthonormal; distance computed anyway"
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,7 @@ class RowSpaceBasis:
 
     ``orthonormal`` is set when B B^T is the identity within 1e-10; such
     rows have full rank.  Other rows are checked for rank on construction.
+    Rows whose B B^T overflows the float range raise InvalidParameterError.
     """
 
     matrix: np.ndarray
@@ -44,7 +46,13 @@ class RowSpaceBasis:
             raise RankDeficientError(
                 f"basis must have 1 <= rows <= cols, got {mat.shape}"
             )
-        orthonormal = np.max(np.abs(mat @ mat.T - np.eye(r))) <= ORTHONORMAL_TOL
+        with np.errstate(over="ignore"):
+            gram = mat @ mat.T
+        if not np.isfinite(gram).all():
+            raise InvalidParameterError(
+                f"B B^T of the {r} x {n} basis with entries up to "
+                f"{np.abs(mat).max():g} overflows the float range")
+        orthonormal = np.max(np.abs(gram - np.eye(r))) <= ORTHONORMAL_TOL
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "orthonormal", bool(orthonormal))
         if orthonormal:
@@ -128,10 +136,7 @@ def subspace_distance(m, m_hat) -> float:
             f"column counts differ: {bm.n} vs {bh.n}"
         )
     if not bh.orthonormal:
-        warnings.warn(
-            "estimated basis rows are not orthonormal; distance computed anyway",
-            NotOrthonormalWarning,
-        )
+        warnings.warn(NOT_ORTHONORMAL, NotOrthonormalWarning)
     mm = bm.matrix
     mh = bh.matrix
     n = bm.n

@@ -634,6 +634,23 @@ def test_distance_normalize_m(tmp_path, capsys):
     assert float(capsys.readouterr().out.strip().splitlines()[0]) == d1
 
 
+@pytest.mark.parametrize("overflowing", ["m", "m_hat"])
+def test_distance_overflowing_basis_exits_2(tmp_path, capsys, overflowing):
+    # One error line that names the file whose B B^T overflows, and no
+    # RuntimeWarning, which the command would no longer hide.
+    paths = {"m": tmp_path / "m.csv", "m_hat": tmp_path / "m_hat.csv"}
+    for name, path in paths.items():
+        path.write_text("3e200,1e200\n" if name == overflowing else "0.6,0.8\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["distance", str(paths["m"]), str(paths["m_hat"])]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {paths[overflowing]}: ") and "overflows" in line
+
+
 def test_distance_rank_deficient_exit(tmp_path):
     p1 = tmp_path / "m1.csv"
     p2 = tmp_path / "m2.csv"
@@ -691,7 +708,9 @@ def test_simulate_summary_matches_library(tmp_path):
     assert float(row["rho_median"]) == stats.rho_median
 
 
-def test_simulate_summary_counts_failed_reps(tmp_path, monkeypatch):
+def _simulate_with_failed_rep(tmp_path, monkeypatch):
+    """Simulate a gamma k=2 cell whose replication 2 raises "boom"; at k=2
+    most gamma replications find no calibration plateau."""
     import latentspec.simulation as sim
 
     real = sim._replication_moments
@@ -702,9 +721,12 @@ def test_simulate_summary_counts_failed_reps(tmp_path, monkeypatch):
         return real(cfg, rep_index, buf)
 
     monkeypatch.setattr(sim, "_replication_moments", flaky)
-    # At k=2 most gamma replications find no calibration plateau.
     path, _ = write_sim_config(tmp_path, scenario="gamma", k=2)
     assert main(["simulate", str(path)]) == 0
+
+
+def test_simulate_summary_counts_failed_reps(tmp_path, monkeypatch):
+    _simulate_with_failed_rep(tmp_path, monkeypatch)
     with open(tmp_path / "sim" / "summary.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
     with open(tmp_path / "sim" / "reps.csv", newline="") as fh:
@@ -714,6 +736,52 @@ def test_simulate_summary_counts_failed_reps(tmp_path, monkeypatch):
     assert sum(int(row[c]) for c in counts) == 4
     no_plateau = sum(r["no_plateau"] == "1" for r in reps)
     assert int(row["no_plateau"]) == no_plateau >= 1
+
+
+RANK_KEYS = {"r_hat", "rank_mode", "fixed_rank", "dk_method", "negative_flag",
+             "eigenvalues", "family"}
+AUTO_RANK_KEYS = RANK_KEYS | {"tau_tilde", "c_tilde", "eta", "scale_coefficient",
+                              "k", "scaled_eigenvalues", "calibration"}
+CALIBRATION_KEYS = {"grid", "rank_counts", "anchor", "chosen", "plateau_rank",
+                    "plateau_bounds", "no_plateau"}
+
+
+def test_output_formats(tmp_path, monkeypatch, poisson_fixture):
+    # The exact header lines of both simulate tables, a failed replication's
+    # row, the 0/1 of no_plateau and the rank.json key sets, which readers
+    # of these files rely on.
+    _simulate_with_failed_rep(tmp_path, monkeypatch)
+    summary = (tmp_path / "sim" / "summary.csv").read_text().splitlines()
+    assert summary[0] == ("scenario,n,k,r,reps,r_correct,r_under,r_over,failed,"
+                          "no_plateau,d_median_fixed,d_median_auto,rho_median")
+    assert summary[1].startswith("gamma,6,2,2,4,")
+    reps = (tmp_path / "sim" / "reps.csv").read_text().splitlines()
+    assert reps[0] == ("scenario,n,k,r,rep,r_hat,d_fixed,d_auto,rho,"
+                       "scale_coefficient,no_plateau,error")
+    assert reps[3] == "gamma,6,2,2,2,,,,,,,ValueError: boom"
+    ok = [line.split(",") for line in reps[1:] if not line.endswith("boom")]
+    assert [row[4] for row in ok] == ["0", "1", "3"]
+    assert {row[10] for row in ok} <= {"0", "1"} and "1" in {row[10] for row in ok}
+    assert all(row[11] == "" for row in ok)
+    # Floats are written with FLOAT_FORMAT, integers as they are.
+    assert all(cell == matrixio.format_value(float(cell)) for row in ok
+               for cell in row[6:10])
+    assert all(row[5] == str(int(row[5])) for row in ok)
+
+    _, y_path, _ = poisson_fixture
+    for flags, keys, calibrated in [(["--rank", "fixed:2"], RANK_KEYS, None),
+                                    (["--rank", "auto"], AUTO_RANK_KEYS, True),
+                                    (["--scale", "3"], AUTO_RANK_KEYS, False)]:
+        out = tmp_path / "_".join(flags)
+        assert main(["estimate", str(y_path), "--family", "poisson", *flags,
+                     "--out", str(out)]) in (0, 4)
+        record = json.loads((out / "rank.json").read_text())
+        assert set(record) == keys
+        if calibrated is not None:
+            assert isinstance(record["scaled_eigenvalues"], list)
+            assert (record["calibration"] is not None) == calibrated
+        if calibrated:
+            assert set(record["calibration"]) == CALIBRATION_KEYS
 
 
 def test_simulate_guardrails(tmp_path):

@@ -1,5 +1,7 @@
 """Row-space projection and the normalized projection distance."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,21 @@ def test_distance_overflow_raises():
     with pytest.warns(NotOrthonormalWarning), \
             pytest.raises(InvalidParameterError, match="overflows"):
         subspace_distance(np.array([[0.6, 0.8]]), np.array([[3e100, 1e100]]))
+
+
+@pytest.mark.parametrize("m, m_hat", [
+    ([[0.6, 0.8]], [[3e200, 1e200]]),
+    ([[3e200, 1e200]], [[0.6, 0.8]]),
+], ids=["estimate", "reference"])
+def test_overflowing_basis_raises_without_warning(m, m_hat):
+    # B B^T of rows near 1e200 is past the float range: one error naming
+    # the basis by its size, and no overflow warning on the way.
+    with warnings.catch_warnings(record=True) as caught, \
+            pytest.raises(InvalidParameterError,
+                          match=r"1 x 2 basis with entries up to 3e\+200 overflows"):
+        warnings.simplefilter("always")
+        subspace_distance(np.array(m), np.array(m_hat))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_distance_rejects_rank_deficient_reference():
