@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from threading import Thread
 
 import numpy as np
@@ -168,7 +168,8 @@ class Moments:
     can be reduced to them without holding the matrix.  Moments made
     without column sums hold None in those five fields: the normal family,
     the pooled variance and an explicit correction read only the gram.
-    The gram and sums must be finite.
+    The gram and sums must be finite.  The shape is checked where data come
+    in, so the Moments of a few rows may be added up before it is.
     """
 
     gram: np.ndarray
@@ -180,7 +181,6 @@ class Moments:
     integral: bool | None
 
     def __post_init__(self):
-        _check_data_shape(self.k, self.gram.shape[0])
         sums = (self.gram, self.colsum, self.colsumsq)
         if not all(np.isfinite(s).all() for s in sums if s is not None):
             raise InvalidParameterError(
@@ -190,6 +190,24 @@ class Moments:
     @property
     def n(self) -> int:
         return self.gram.shape[0]
+
+    @property
+    def exact(self) -> bool:
+        """True when every partial sum is exact in float64, in any order.
+
+        Nonnegative whole numbers with k * max(y)^2 < 2^53 have integer
+        partial sums below 2^53, so their totals do not depend on how the
+        rows are ordered, blocked or split.
+        """
+        return bool(self.integral and self.ymin >= 0
+                    and self.k * int(self.ymax) ** 2 < EXACT_SUM_BOUND)
+
+    def __add__(self, other: Moments) -> Moments:
+        """The Moments of this matrix's rows followed by ``other``'s."""
+        return Moments(self.gram + other.gram, self.colsum + other.colsum,
+                       self.colsumsq + other.colsumsq, self.k + other.k,
+                       min(self.ymin, other.ymin), max(self.ymax, other.ymax),
+                       self.integral and other.integral)
 
     def scaled_gram(self) -> np.ndarray:
         """(Y^T Y) / k, as symmetric as the gram: numpy forms ``Y.T @ Y``
@@ -216,75 +234,45 @@ def is_integral(arr: np.ndarray) -> bool:
 def data_moments(y, sums: bool = True) -> Moments:
     """The Moments of a data matrix, with column sums when ``sums`` is set.
 
-    Nonnegative whole numbers with k * max(y)^2 < 2^53 have exact partial
-    sums in any order, so their columns are summed as they stand and the
-    sums of y*y are the gram's diagonal.  Other data are summed over sorted
+    ``Moments.exact`` data have exact partial sums in any order, so their
+    columns are summed as they stand.  Other data are summed over sorted
     columns, which fixes the order and so makes the sums invariant under
     row permutations.
     """
     arr = as_data(y).values
-    k = arr.shape[0]
     # Entries from about 1e154 overflow these sums to inf, which Moments
     # rejects with one error.
     with np.errstate(over="ignore"):
-        gram = arr.T @ arr
         if not sums:
-            return Moments(gram, None, None, k, None, None, None)
-        ymin, ymax = float(arr.min()), float(arr.max())
-        integral = is_integral(arr)
-        if integral and ymin >= 0 and k * int(ymax) ** 2 < EXACT_SUM_BOUND:
-            colsum, colsumsq = arr.sum(axis=0), np.diag(gram).copy()
-        else:
-            cols = np.sort(arr, axis=0)
-            colsum = cols.sum(axis=0)
-            # Squared in place: the sort is the only k x n temporary.
-            colsumsq = np.square(cols, out=cols).sum(axis=0)
-    return Moments(gram, colsum, colsumsq, k, ymin, ymax, integral)
+            return Moments(arr.T @ arr, None, None, arr.shape[0], None, None,
+                           None)
+        moments = _block_moments([arr], is_integral(arr))
+        if moments.exact:
+            return moments
+        cols = np.sort(arr, axis=0)
+        colsum = cols.sum(axis=0)
+        # Squared in place: the sort is the only k x n temporary.
+        colsumsq = np.square(cols, out=cols).sum(axis=0)
+    return replace(moments, colsum=colsum, colsumsq=colsumsq)
 
 
-def _block_sums(blocks, n: int, exact: bool = True):
-    """(gram, colsum, rows, ymin, ymax) of the (rows, n) float64 ``blocks``,
-    added in the order they come.
+def _block_moments(blocks, integral: bool) -> Moments:
+    """The Moments of the (rows, n) float64 ``blocks`` of a matrix, added in
+    the order they come.
 
-    With ``exact`` set the blocks hold nonnegative whole numbers: while
-    k * max(y)^2 < 2^53 every partial sum is an integer below 2^53, exact
-    in float64, so the totals have the bits of the whole-matrix ones
-    whatever the blocking.  None as soon as the running totals break that
-    bound; the remaining blocks are not read.  No blocks give zeros.
-    Otherwise the blocks may hold any finite values and are all summed:
-    the totals' bits are then fixed by the blocks, in their order.
+    The sums start from the first block's, so a single block gives the bits
+    of its own ``block.T @ block``, and the sums of y*y are the gram's
+    diagonal.  ``integral`` tells whether the blocks hold whole numbers only.
     """
-    gram, colsum = np.zeros((n, n)), np.zeros(n)
-    # Counts are nonnegative, so 0 bounds their largest entry from below.
-    k, ymin, ymax = 0, np.inf, 0.0 if exact else -np.inf
+    blocks = iter(blocks)
+    first = next(blocks)
+    gram, colsum = first.T @ first, np.ones(first.shape[0]) @ first
+    k, ymin, ymax = first.shape[0], first.min(), first.max()
     for block in blocks:
         gram += block.T @ block
         colsum += np.ones(block.shape[0]) @ block
         k += block.shape[0]
         ymin, ymax = min(ymin, block.min()), max(ymax, block.max())
-        if exact and k * int(ymax) ** 2 >= EXACT_SUM_BOUND:
-            return None
-    return gram, colsum, k, ymin, ymax
-
-
-def _block_moments(partials, exact: bool = True,
-                   integral: bool = True) -> Moments | None:
-    """The Moments of row ranges from their ``_block_sums``, added in order.
-
-    The sums of y*y are the gram's diagonal, and ``integral`` tells whether
-    the ranges hold whole numbers only.  With ``exact`` set, as for
-    ``_block_sums``, None when a range gave None or the totals break
-    k * max(y)^2 < 2^53.
-    """
-    if any(p is None for p in partials):
-        return None
-    gram, colsum, k, ymin, ymax = partials[0]
-    for g, c, rows, lo, hi in partials[1:]:
-        gram += g
-        colsum += c
-        k, ymin, ymax = k + rows, min(ymin, lo), max(ymax, hi)
-    if exact and k * int(ymax) ** 2 >= EXACT_SUM_BOUND:
-        return None
     return Moments(gram, colsum, np.diag(gram).copy(), k, float(ymin),
                    float(ymax), integral)
 

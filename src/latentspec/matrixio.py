@@ -17,9 +17,10 @@ cell (up to four), and one gather at the separators per four digits
 (``_parse_block``).  The cells are integers below 2^53, exact in float64,
 so the result has the same bits as the float parse that reads every other
 file.  Only ``read_moments_csv`` cuts the rows into ranges, one per CPU: it
-reduces each range, block by block, to its Moments without holding the
-matrix, and adds the partial sums.  They are exact integers, so the Moments
-do not depend on the split.
+reduces each range's blocks with ``_block_moments`` without holding the
+matrix, and adds the ranges' Moments in file order.  While they are
+``Moments.exact`` their sums are exact integers, so they do not depend on
+the split.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import codecs
 import functools
 import io
+import operator
 import re
 from pathlib import Path
 
@@ -36,7 +38,7 @@ from .errors import InvalidParameterError
 from .matrix_core import (
     Moments,
     _block_moments,
-    _block_sums,
+    _check_data_shape,
     _on_threads,
     check_columns,
     cpu_count,
@@ -200,18 +202,6 @@ def _read_plain(data: bytes) -> np.ndarray | None:
     return out
 
 
-def _reduce_rows(data: bytes, start: int, stop: int, n: int):
-    """(gram, colsum, rows, ymin, ymax) of the plain rows in data[start:stop].
-
-    None when a block is not plain or the range's own running totals break
-    k * max(y)^2 < 2^53.  An empty range gives zeros.
-    """
-    try:
-        return _block_sums(_plain_blocks(data, start, stop, n), n)
-    except _NotPlain:
-        return None
-
-
 def _row_cuts(data: bytes, start: int) -> list[int]:
     """Offsets [start, ..., len(data)] that cut data[start:] into row ranges
     of about equal size, each cut just after a newline: one range per CPU,
@@ -227,28 +217,19 @@ def _row_cuts(data: bytes, start: int) -> list[int]:
     return cuts
 
 
-def _reduce_ranges(data: bytes, n: int, cuts: list[int]) -> Moments | None:
-    """The Moments of the rows between consecutive ``cuts``, the first range
-    reduced on the calling thread and each other one on a thread of its own,
-    added together; None when a range is not plain or the totals break the
-    exact-sum bound."""
-    return _block_moments(_on_threads(
-        _reduce_rows, [(data, a, b, n) for a, b in zip(cuts, cuts[1:])]))
-
-
 def read_moments_csv(path) -> Moments | None:
     """The Moments of a plain file, reduced range by range as it is parsed.
 
     The k x n matrix is never held.  The rows are cut into one contiguous
-    range per CPU, but into no range under ``_RANGE_MIN_BYTES``, and each
-    range is reduced block by block to its gram, column sums and range: the
-    first on the calling thread, each other one on a thread of its own.
-    Plain cells are nonnegative integers, so while k * max(y)^2 < 2^53 every partial sum is an integer
-    below 2^53, exact in float64, and the totals have the bits of the
-    whole-matrix ones whatever the split.  None when the file is not plain
-    or its counts break that bound; ``read_matrix_csv`` then reads the
-    matrix.  A first row of more than ``MAX_COLUMNS`` cells raises
-    InvalidParameterError before any block is parsed.
+    range per CPU, but into no range under ``_RANGE_MIN_BYTES``; each
+    range's blocks are added by ``_block_moments``, the first range on the
+    calling thread and each other one on a thread of its own, and the
+    ranges' Moments are added in file order.  While they are
+    ``Moments.exact`` they have the bits of the whole matrix's, whatever the
+    split.  None when they are not, or when the file is not plain;
+    ``read_matrix_csv`` then reads the matrix.  InvalidParameterError for a
+    first row of more than ``MAX_COLUMNS`` cells, before any block is
+    parsed, and for exact Moments of one column, naming all the file's rows.
     """
     data = Path(path).read_bytes()
     layout = _plain_layout(data)
@@ -256,7 +237,18 @@ def read_moments_csv(path) -> Moments | None:
         return None
     start, n = layout
     check_columns(n)
-    return _reduce_ranges(data, n, _row_cuts(data, start))
+    cuts = _row_cuts(data, start)
+    try:
+        parts = _on_threads(
+            lambda a, b: _block_moments(_plain_blocks(data, a, b, n), True),
+            list(zip(cuts, cuts[1:])))
+    except _NotPlain:
+        return None
+    moments = functools.reduce(operator.add, parts)
+    if not moments.exact:
+        return None
+    _check_data_shape(moments.k, n)
+    return moments
 
 
 def _parse_block(b: np.ndarray, n: int, out: np.ndarray) -> int | None:

@@ -12,9 +12,9 @@ whole-matrix call.  The sampler is called on 64 KiB chunks of a block,
 whose variates go straight into the block's rows.  ``generate_scenario``
 writes the blocks into whole k x n ``theta`` and ``y``.  The replication
 harness draws each block into one buffer that a worker allocates once,
-and reduces every scenario's blocks to their Moments in block order as
-they are drawn, so a worker holds its k x r coefficients, its buffer and
-one chunk's draw, and no k x n array.  ``true_deltas`` is the column
+and ``_block_moments``, the reducer every input goes through, adds each
+block to the Moments in block order as it is drawn, so a worker holds its
+k x r coefficients, its buffer and one chunk's draw, and no k x n array.  ``true_deltas`` is the column
 average of the exact variances up to rounding, computed in closed form
 from the k x r coefficients alone.
 """
@@ -32,7 +32,6 @@ from .matrix_core import (
     _BLOCK_ENTRIES,
     DataMatrix,
     _block_moments,
-    _block_sums,
     _on_threads,
     check_columns,
     median,
@@ -262,14 +261,13 @@ def _replication_moments(cfg: ScenarioConfig, rep_index: int,
 
     Each row block is drawn into the first rows of ``buf`` (a
     ``_block_buffer``, allocated here when not given), which holds its means
-    and then its observations, and is added to the Moments before the next
-    block is drawn, so no k x n array is held.  The blocks are summed in
-    ``_row_blocks`` order, which fixes the bits of the sums of real-valued
-    data.  A count scenario's block sums are exact integers while
-    k * max(y)^2 < 2^53, so the Moments then have the bits of
-    ``data_moments`` of the whole draw; past that bound they are summed in
-    block order too.  The normal and gamma draws are real-valued, so their
-    Moments are not integral.
+    and then its observations, and is added to the Moments by
+    ``_block_moments`` before the next block is drawn, so no k x n array is
+    held.  The blocks are summed in ``_row_blocks`` order, which fixes the
+    bits of the sums of real-valued data.  When the Moments are
+    ``Moments.exact``, as a count scenario's are below the bound, they have
+    the bits of ``data_moments`` of the whole draw.  The normal and gamma
+    draws are real-valued, so their Moments are not integral.
     """
     walk = _Walk(cfg, rep_index)
     buf = _block_buffer(cfg) if buf is None else buf
@@ -280,9 +278,7 @@ def _replication_moments(cfg: ScenarioConfig, rep_index: int,
             walk.draw(start, stop, block, block)
             yield block
 
-    moments = _block_moments(
-        [_block_sums(blocks(), cfg.n, exact=False)], exact=False,
-        integral=whole_support(walk.family))
+    moments = _block_moments(blocks(), whole_support(walk.family))
     return walk.family, walk.m, moments, walk.true_deltas
 
 

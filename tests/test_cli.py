@@ -501,15 +501,22 @@ def test_support_violation_in_whole_file_parses_it_once(counts, tmp_path, capsys
         "error: 1 entries outside the poisson support, first at (row, col) (40, 3)\n")
 
 
-def test_streamed_one_column_file_exits_2(tmp_path, capsys):
+def test_streamed_one_column_file_exits_2(tmp_path, capsys, monkeypatch, started):
+    # The last file is cut into two row ranges, and its error still names
+    # all of its rows.
     errors = []
-    for name, text in (("plain.csv", "1\n2\n3\n"), ("other.csv", "1.0\n2.0\n3.0\n")):
+    for name, text in (("plain.csv", "1\n2\n3\n"), ("other.csv", "1.0\n2.0\n3.0\n"),
+                       ("split.csv", "1\n2\n3\n")):
+        if name == "split.csv":
+            monkeypatch.setattr(matrixio, "_RANGE_MIN_BYTES", 2)
+            monkeypatch.setattr(matrixio, "cpu_count", lambda: 2)
         data = tmp_path / name
         data.write_text(text)
         assert main(["estimate", str(data), "--family", "poisson",
                      "--out", str(tmp_path / "out")]) == 2
         errors.append(capsys.readouterr().err.replace(str(data), "DATA"))
-    assert errors[0] == errors[1] == (
+    assert len(started) == 1
+    assert errors[0] == errors[1] == errors[2] == (
         "error: DATA: data matrix must be at least 1 x 2, got (3, 1)\n")
 
 
@@ -1190,7 +1197,7 @@ def test_column_cap(tmp_path, capsys, monkeypatch, command, over):
         def no_gram(*args):
             raise AssertionError("a gram was formed past the column cap")
 
-        monkeypatch.setattr(matrixio, "_reduce_ranges", no_gram)
+        monkeypatch.setattr(matrixio, "_block_moments", no_gram)
         monkeypatch.setattr(cli, "data_moments", no_gram)
     argv, out = _cap_case(tmp_path, command, CAP + over)
     code = main(argv)

@@ -167,6 +167,15 @@ def test_gram_matches_definition():
     np.testing.assert_allclose(got, y.T @ y / 13.0, rtol=1e-13)
 
 
+@pytest.mark.parametrize("sums", [True, False])
+def test_whole_gram_is_one_matmul(sums):
+    # A zero column next to a negative one: a BLAS that starts each entry
+    # from its first product makes -0.0 of 0 * -1 + 0 * -1, which a sum
+    # started from +0.0 would turn into +0.0.
+    y = np.array([[0.0, -1.0, 2.5], [0.0, -1.0, 1.5]])
+    assert data_moments(y, sums).gram.tobytes() == (y.T @ y).tobytes()
+
+
 # -------------------------------------------------------------------- eigen
 
 def test_eigen_identity():

@@ -241,30 +241,11 @@ def test_streamed_moments_none_for_non_plain(tmp_path, text):
     assert matrixio.read_moments_csv(path) is None
 
 
-def test_streamed_moments_stop_once_bound_breaks(tmp_path):
-    # The cell in the second row breaks k * max(y)^2 < 2^53; the walk ends
-    # there instead of parsing the rest.
-    path = tmp_path / "m.csv"
-    path.write_text("1,2\n100000000,3\n" + "4,5\n" * 1000)
-    parsed = []
-    real = matrixio._parse_block
-
-    def spy(b, n, out):
-        parsed.append(1)
-        return real(b, n, out)
-
-    with mock.patch.object(matrixio, "_BLOCK_BYTES", 1), \
-            mock.patch.object(matrixio, "_parse_block", spy):
-        assert matrixio.read_moments_csv(path) is None
-    assert len(parsed) == 2
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_split_moments_bit_equal_to_one_range_property(data):
     """The Moments of 1-4 row ranges, reduced on threads and added, against
-    one range and against the whole matrix; cuts may fall right after the
-    header (an empty first range), at the last row, or at the end."""
+    one range and against the whole matrix; a cut may fall at the last row."""
     rows = data.draw(st.integers(1, 8))
     cols = data.draw(st.integers(2, 5))
     # Cells of up to 4 digits keep every sum exact; up to 15 mostly not.
@@ -279,10 +260,10 @@ def test_split_moments_bit_equal_to_one_range_property(data):
         text += "\n"
     raw = b"\xef\xbb\xbf" * data.draw(st.booleans()) + text.encode()
     start, n = matrixio._plain_layout(raw)
-    row_starts = [start] + [i + 1 for i in range(start, len(raw) - 1)
-                            if raw[i] == ord("\n")]
-    inner = data.draw(st.lists(st.sampled_from(row_starts + [len(raw)]),
-                               min_size=0, max_size=3))
+    # _row_cuts makes no empty range, so inner cuts are distinct row starts.
+    row_starts = [i + 1 for i in range(start, len(raw) - 1) if raw[i] == ord("\n")]
+    inner = data.draw(st.sets(st.sampled_from(row_starts), max_size=3)) \
+        if row_starts else set()
     cuts = [start] + sorted(inner) + [len(raw)]
     block = data.draw(st.integers(1, 64))
     with tempfile.TemporaryDirectory() as tmp:
@@ -290,8 +271,8 @@ def test_split_moments_bit_equal_to_one_range_property(data):
         path.write_bytes(raw)
         with mock.patch.object(matrixio, "_BLOCK_BYTES", block):
             y = read_matrix_csv(path)
-            got = matrixio._reduce_ranges(raw, n, cuts)
-            one = matrixio._reduce_ranges(raw, n, [start, len(raw)])
+            got = read_moments_with_cuts(path, cuts)
+            one = read_moments_with_cuts(path, [start, len(raw)])
     if rows * int(y.max()) ** 2 < 2**53:
         assert_moments_equal(got, one)
         assert_moments_equal(got, data_moments(y))
@@ -299,24 +280,31 @@ def test_split_moments_bit_equal_to_one_range_property(data):
         assert got is None and one is None
 
 
-@pytest.mark.parametrize("cut", ["after-header", "last-row", "end"])
+def read_moments_with_cuts(path, cuts):
+    """read_moments_csv with its row ranges cut at ``cuts``."""
+    with mock.patch.object(matrixio, "_row_cuts", lambda data, start: cuts):
+        return matrixio.read_moments_csv(path)
+
+
+@pytest.mark.parametrize("cut", ["last-row"])
 def test_split_at_edges_bit_equal(tmp_path, cut):
     raw = b"a,b,c\n1,2,3\n40,5,6\n7,80,900"
-    start, n = matrixio._plain_layout(raw)
-    at = {"after-header": start, "last-row": raw.rindex(b"\n") + 1,
-          "end": len(raw)}[cut]
-    got = matrixio._reduce_ranges(raw, n, [start, at, len(raw)])
     path = tmp_path / "m.csv"
     path.write_bytes(raw)
+    start, _ = matrixio._plain_layout(raw)
+    got = read_moments_with_cuts(path, [start, raw.rindex(b"\n") + 1, len(raw)])
     assert_moments_equal(got, data_moments(read_matrix_csv(path)))
 
 
-def test_non_plain_byte_only_in_last_range_gives_none():
+def test_non_plain_byte_only_in_last_range_gives_none(tmp_path):
     raw = b"1,2\n" * 50 + b"3,4.5\n"
-    start, n = matrixio._plain_layout(raw)
+    start, _ = matrixio._plain_layout(raw)
     last = raw.rindex(b"\n", 0, len(raw) - 1) + 1
-    assert matrixio._reduce_rows(raw, start, last, n) is not None
-    assert matrixio._reduce_ranges(raw, n, [start, 100, last, len(raw)]) is None
+    head, path = tmp_path / "head.csv", tmp_path / "m.csv"
+    head.write_bytes(raw[:last])
+    path.write_bytes(raw)
+    assert matrixio.read_moments_csv(head) is not None
+    assert read_moments_with_cuts(path, [start, 100, last, len(raw)]) is None
 
 
 @pytest.mark.parametrize("text, ranges_alone", [
@@ -326,15 +314,20 @@ def test_non_plain_byte_only_in_last_range_gives_none():
     # Both 2^26 rows in the second range: it breaks the bound by itself.
     ("1,1\n67108864,1\n1,67108864\n", [True, False]),
 ], ids=["totals-only", "one-range"])
-def test_split_counts_beyond_bound_give_none(text, ranges_alone):
+def test_split_counts_beyond_bound_give_none(tmp_path, text, ranges_alone):
     raw = text.encode()
-    start, n = matrixio._plain_layout(raw)
+    start, _ = matrixio._plain_layout(raw)
     cuts = [start, raw.index(b"\n") + 1, len(raw)]
-    alone = [matrixio._reduce_rows(raw, a, b, n) is not None
-             for a, b in zip(cuts, cuts[1:])]
+    alone = []
+    for a, b in zip(cuts, cuts[1:]):
+        part = tmp_path / f"rows-{a}.csv"
+        part.write_bytes(raw[a:b])
+        alone.append(matrixio.read_moments_csv(part) is not None)
     assert alone == ranges_alone
-    assert matrixio._reduce_ranges(raw, n, cuts) is None
-    assert matrixio._reduce_ranges(raw, n, [start, len(raw)]) is None
+    path = tmp_path / "m.csv"
+    path.write_bytes(raw)
+    assert read_moments_with_cuts(path, cuts) is None
+    assert read_moments_with_cuts(path, [start, len(raw)]) is None
 
 
 def test_read_moments_splits_one_range_per_cpu(tmp_path):
@@ -343,7 +336,7 @@ def test_read_moments_splits_one_range_per_cpu(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("".join(",".join(map(str, row)) + "\n" for row in y))
     ranges = []
-    real = matrixio._reduce_rows
+    real = matrixio._plain_blocks
 
     def spy(data, start, stop, n):
         ranges.append((start, stop))
@@ -352,7 +345,7 @@ def test_read_moments_splits_one_range_per_cpu(tmp_path):
     with mock.patch.object(matrixio, "_RANGE_MIN_BYTES", 100), \
             mock.patch.object(matrixio, "_BLOCK_BYTES", 64), \
             mock.patch.object(matrixio, "cpu_count", lambda: 4), \
-            mock.patch.object(matrixio, "_reduce_rows", spy):
+            mock.patch.object(matrixio, "_plain_blocks", spy):
         got = matrixio.read_moments_csv(path)
     ranges.sort()  # the first range runs last-started, on the caller
     size = path.stat().st_size
