@@ -193,12 +193,9 @@ class Moments:
 
     @property
     def exact(self) -> bool:
-        """True when every partial sum is exact in float64, in any order.
-
-        Nonnegative whole numbers with k * max(y)^2 < 2^53 have integer
-        partial sums below 2^53, so their totals do not depend on how the
-        rows are ordered, blocked or split.
-        """
+        """True for nonnegative whole numbers with k * max(y)^2 < 2^53: all
+        their partial sums are integers below 2^53, exact in float64, so the
+        totals do not depend on how the rows are ordered, blocked or split."""
         return bool(self.integral and self.ymin >= 0
                     and self.k * int(self.ymax) ** 2 < EXACT_SUM_BOUND)
 

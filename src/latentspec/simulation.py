@@ -14,9 +14,9 @@ writes the blocks into whole k x n ``theta`` and ``y``.  The replication
 harness draws each block into one buffer that a worker allocates once,
 and ``_block_moments``, the reducer every input goes through, adds each
 block to the Moments in block order as it is drawn, so a worker holds its
-k x r coefficients, its buffer and one chunk's draw, and no k x n array.  ``true_deltas`` is the column
-average of the exact variances up to rounding, computed in closed form
-from the k x r coefficients alone.
+k x r coefficients, its buffer and one chunk's draw, and no k x n array.
+``true_deltas`` is the column average of the exact variances up to
+rounding, computed in closed form from the k x r coefficients alone.
 """
 
 from __future__ import annotations

@@ -241,6 +241,12 @@ def test_streamed_moments_none_for_non_plain(tmp_path, text):
     assert matrixio.read_moments_csv(path) is None
 
 
+def read_moments_with_cuts(path, cuts):
+    """read_moments_csv with its row ranges cut at ``cuts``."""
+    with mock.patch.object(matrixio, "_row_cuts", lambda data, start: cuts):
+        return matrixio.read_moments_csv(path)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_split_moments_bit_equal_to_one_range_property(data):
@@ -278,12 +284,6 @@ def test_split_moments_bit_equal_to_one_range_property(data):
         assert_moments_equal(got, data_moments(y))
     else:
         assert got is None and one is None
-
-
-def read_moments_with_cuts(path, cuts):
-    """read_moments_csv with its row ranges cut at ``cuts``."""
-    with mock.patch.object(matrixio, "_row_cuts", lambda data, start: cuts):
-        return matrixio.read_moments_csv(path)
 
 
 @pytest.mark.parametrize("cut", ["last-row"])
