@@ -17,9 +17,10 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from .matrixio import (
     read_vector_csv,
     write_matrix_csv,
 )
-from .nef_qvf import FAMILY_KINDS, Family, family_to_dict, in_support
+from .nef_qvf import FAMILY_KINDS, Family, in_support
 from .variance_estimation import (
     VarianceEstimate,
     check_support,
@@ -162,15 +163,14 @@ def _scaling(c_tilde: float, eta: float, scale, scale_name: str) -> ScalingConfi
     return ScalingConfig(c_tilde=c_tilde, eta=eta, scale_coefficient=scale)
 
 
-def _scaling_from_args(args) -> ScalingConfig:
-    return _scaling(args.c_tilde, args.eta, args.scale, "--scale")
-
-
 def _config_number(value, name: str) -> float:
     """A JSON number; strings and booleans are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CliError(f"config {name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise CliError(f"config {name} is an integer past the float range")
 
 
 def _config_int(value, name: str) -> int:
@@ -199,6 +199,8 @@ def _parse_int_list(text: str, name: str, lo: int, hi: int) -> list[int]:
         for v in ends:
             if not lo <= v <= hi:
                 raise CliError(f"{name} value {v} outside [{lo}, {hi}]")
+        if ends[0] > ends[-1]:
+            raise CliError(f"{name} range {part!r} runs backwards")
         out.extend(range(ends[0], ends[-1] + 1))
     if not out:
         raise CliError(f"{name} is empty")
@@ -221,13 +223,28 @@ def _variance_estimate(args, moments: Moments, fam: Family | None) -> VarianceEs
 
 
 def _json_value(value):
-    """An array as a list, a record with ``to_dict`` as its dict."""
+    """An array as its list, a dataclass record as the object of its
+    fields, each by this rule; anything else as it is."""
     if isinstance(value, np.ndarray):
         return value.tolist()
-    return value.to_dict() if hasattr(value, "to_dict") else value
+    if is_dataclass(value):
+        return {f.name: _json_value(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
-def _rank_record(est, dk) -> dict:
+def _write_json(path, record) -> None:
+    path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
+
+
+def _family_record(fam: Family) -> dict:
+    """rank.json's family object, e.g. {"family": "binomial", "s": 20}."""
+    rec = {"family": fam.kind}
+    if fam.s is not None:
+        rec["s"] = int(fam.s) if fam.s.is_integer() else fam.s
+    return rec
+
+
+def _rank_record(est, dk, fam: Family | None) -> dict:
     """rank.json's record; under ``--rank auto`` each field of the
     RankEstimate is a key too."""
     rec = {
@@ -237,10 +254,10 @@ def _rank_record(est, dk) -> dict:
         "dk_method": dk.method,
         "negative_flag": dk.negative_flag,
         "eigenvalues": est.eigen.eigenvalues.tolist(),
+        "family": None if fam is None else _family_record(fam),
     }
     if est.rank is not None:
-        rec.update((f.name, _json_value(getattr(est.rank, f.name)))
-                   for f in fields(est.rank))
+        rec.update(_json_value(est.rank))
     return rec
 
 
@@ -259,18 +276,14 @@ def cmd_estimate(args) -> int:
         )
     dk = _variance_estimate(args, moments, fam)
     rank = _parse_rank(args.rank)
-    cfg = _scaling_from_args(args)
+    cfg = _scaling(args.c_tilde, args.eta, args.scale, "--scale")
     est = estimate_latent_space(moments, dk, rank=rank, cfg=cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out / "m_hat.csv", est.m_hat.reshape(est.r_hat, n))
     write_matrix_csv(out / "eigenvalues.csv", est.eigen.eigenvalues)
-    record = _rank_record(est, dk)
-    record["family"] = family_to_dict(fam) if fam is not None else None
-    (out / "rank.json").write_text(
-        json.dumps(record, sort_keys=True, indent=2) + "\n"
-    )
+    _write_json(out / "rank.json", _rank_record(est, dk, fam))
     if est.is_empty:
         print(
             "empty subspace: no scaled eigenvalue exceeded the threshold; "
@@ -280,6 +293,14 @@ def cmd_estimate(args) -> int:
         return EXIT_DEGENERATE
     print(f"r_hat={est.r_hat} -> {out / 'm_hat.csv'}")
     return 0
+
+
+def _finite_number(text: str) -> float:
+    """A config number, which must be finite, since JSON has no infinity."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is not finite")
+    return value
 
 
 def _config_cells(cfg: dict) -> list[dict]:
@@ -302,8 +323,9 @@ def cmd_simulate(args) -> int:
 
     threads = _resolve_threads(args.threads)
     try:
-        cfg = json.loads(Path(args.config).read_text())
-    except ValueError as exc:  # bad JSON or bytes
+        cfg = json.loads(Path(args.config).read_text(),
+                         parse_float=_finite_number, parse_constant=_finite_number)
+    except ValueError as exc:  # bad JSON or bytes, or a number past the float range
         raise CliError(f"cannot read config {args.config}: {exc}")
     if not isinstance(cfg, dict):
         raise CliError(f"config {args.config} is not a JSON object")
@@ -366,7 +388,7 @@ def cmd_simulate(args) -> int:
                   *("rep" if name == "rep_index" else name for name in rep_columns)],
                  rep_rows)
     meta = {"rng": RNG_ALGORITHM, "seed": seed, "reps": reps, "config": cfg}
-    (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "meta.json", meta)
     print(f"wrote {out / 'summary.csv'} ({len(summary_rows)} cells)")
     return 0
 
@@ -432,7 +454,7 @@ def cmd_subsample(args) -> int:
     if fam is None:
         raise CliError("--family is required")
     rank = _parse_rank(args.rank)
-    cfg = _scaling_from_args(args)
+    cfg = _scaling(args.c_tilde, args.eta, args.scale, "--scale")
     # Every draw is a subset of the rows, so it is in support if the file is.
     check_support(fam, data)
 

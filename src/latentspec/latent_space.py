@@ -9,6 +9,7 @@ supplied or calibrated from a plateau scan over a candidate grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ GRID.flags.writeable = False
 class ScalingConfig:
     """Threshold c_tilde, decay exponent eta, and the scale coefficient.
 
-    ``scale_coefficient`` is either a positive number used as-is or the
+    ``scale_coefficient`` is either a finite positive number used as-is or the
     string "auto", which triggers plateau calibration on the eigenvalues.
 
     Under "auto" the rank reads neither k nor eta: ``calibrate_scale``
@@ -45,19 +46,14 @@ class ScalingConfig:
     scale_coefficient: float | str = "auto"
 
     def __post_init__(self):
-        if not (self.c_tilde > 0):
-            raise InvalidParameterError("c_tilde must be positive")
+        if not 0 < self.c_tilde < math.inf:
+            raise InvalidParameterError("c_tilde must be finite and positive")
         if not (0.0 < self.eta <= 1.0):
             raise InvalidParameterError("eta must be in (0, 1]")
         sc = self.scale_coefficient
-        if isinstance(sc, str):
-            if sc != "auto":
-                raise InvalidParameterError(
-                    "scale_coefficient must be positive or 'auto'"
-                )
-        elif not (float(sc) > 0):
+        if sc != "auto" and (isinstance(sc, str) or not 0 < sc < math.inf):
             raise InvalidParameterError(
-                "scale_coefficient must be positive or 'auto'"
+                "scale_coefficient must be finite and positive, or 'auto'"
             )
 
 
@@ -77,21 +73,6 @@ class CalibrationTrace:
     plateau_rank: int | None
     plateau_bounds: tuple[float, float] | None
     no_plateau: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "grid": [float(g) for g in self.grid],
-            "rank_counts": [int(v) for v in self.rank_counts],
-            "anchor": float(self.anchor),
-            "chosen": float(self.chosen),
-            "plateau_rank": self.plateau_rank,
-            "plateau_bounds": (
-                [float(b) for b in self.plateau_bounds]
-                if self.plateau_bounds is not None
-                else None
-            ),
-            "no_plateau": bool(self.no_plateau),
-        }
 
 
 @dataclass(frozen=True)

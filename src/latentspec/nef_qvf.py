@@ -140,11 +140,3 @@ def whole_support(f: Family) -> bool:
     """Whether the family's observations are whole numbers."""
     return _FAMILIES[f.kind][4]
 
-
-def family_to_dict(f: Family) -> dict:
-    """JSON-ready mapping, e.g. {"family": "binomial", "s": 20}."""
-    out = {"family": f.kind}
-    if f.s is not None:
-        out["s"] = int(f.s) if float(f.s).is_integer() else f.s
-    return out
-

@@ -31,12 +31,14 @@ NOT_ORTHONORMAL = "estimated basis rows are not orthonormal; distance computed a
 class RowSpaceBasis:
     """An r x n matrix whose rows span the space.
 
-    ``orthonormal`` is set when B B^T is the identity within 1e-10; such
-    rows have full rank.  Other rows are checked for rank on construction.
-    Rows whose B B^T overflows the float range raise InvalidParameterError.
+    ``gram`` is B B^T, formed once.  ``orthonormal`` is set when it is the
+    identity within 1e-10; such rows have full rank.  Other rows are
+    checked for rank on construction.  Rows whose B B^T overflows the float
+    range raise InvalidParameterError.
     """
 
     matrix: np.ndarray
+    gram: np.ndarray = field(init=False, repr=False)
     orthonormal: bool = field(init=False)
 
     def __post_init__(self):
@@ -54,6 +56,7 @@ class RowSpaceBasis:
                 f"{np.abs(mat).max():g} overflows the float range")
         orthonormal = np.max(np.abs(gram - np.eye(r))) <= ORTHONORMAL_TOL
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "orthonormal", bool(orthonormal))
         if orthonormal:
             return
@@ -66,7 +69,7 @@ class RowSpaceBasis:
     @cached_property
     def row_gram(self) -> SymmetricEigen:
         """Eigendecomposition of B B^T (exactly symmetric), made once."""
-        return sym_eigen(self.matrix @ self.matrix.T)
+        return sym_eigen(self.gram)
 
     @property
     def r(self) -> int:

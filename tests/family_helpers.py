@@ -3,7 +3,26 @@
 import numpy as np
 
 from latentspec.errors import OutOfSupportError
-from latentspec.nef_qvf import in_support, qvf_coefficients, qvf_transform
+from latentspec.nef_qvf import (
+    binomial,
+    gamma,
+    ghs,
+    in_support,
+    negbin,
+    normal,
+    poisson,
+    qvf_coefficients,
+    qvf_transform,
+)
+
+ALL_FAMILIES = [
+    normal(),
+    poisson(),
+    binomial(20),
+    negbin(10),
+    gamma(10),
+    ghs(2),
+]
 
 
 def v_value(f, y):

@@ -10,10 +10,12 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
+from family_helpers import ALL_FAMILIES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +30,7 @@ from latentspec.errors import (
 )
 from latentspec.latent_space import estimate_latent_space
 from latentspec.matrixio import read_matrix_csv, write_matrix_csv
+from latentspec.nef_qvf import Family, binomial, poisson
 from latentspec.simulation import ScenarioConfig, generate_scenario, rep_rng
 from latentspec.subspace_metrics import subspace_distance
 from latentspec.variance_estimation import estimate_dk_qvf
@@ -1036,6 +1039,46 @@ def test_parse_int_list_checks_bounds_before_expanding(text, bad):
         cli._parse_int_list(text, "--r-grid", 1, 5)
 
 
+def test_parse_int_list_rejects_a_reversed_range():
+    # A range whose ends are reversed would expand to nothing.
+    assert cli._parse_int_list("3:3", "--k-grid", 1, 5) == [3]
+    with pytest.raises(cli.CliError, match="--k-grid range '5:3' runs backwards"):
+        cli._parse_int_list("1, 5:3", "--k-grid", 1, 5)
+
+
+@dataclass(frozen=True)
+class _Inner:
+    values: np.ndarray
+    bounds: tuple[float, float] | None
+
+
+@dataclass(frozen=True)
+class _Outer:
+    count: int
+    inner: _Inner
+    missing: _Inner | None = None
+
+
+def test_json_value_writes_a_nested_record_as_its_fields():
+    # A record with no serializer of its own, nested in another, is the
+    # object of its fields, and each array in it is a list.
+    record = _Outer(count=2, inner=_Inner(np.array([0.5, 2.0]), (1.0, 3.0)))
+    assert cli._json_value(record) == {
+        "count": 2, "inner": {"values": [0.5, 2.0], "bounds": (1.0, 3.0)},
+        "missing": None}
+    assert json.loads(json.dumps(cli._json_value(record))) == {
+        "count": 2, "inner": {"values": [0.5, 2.0], "bounds": [1.0, 3.0]},
+        "missing": None}
+
+
+def test_family_serialization_round_trip():
+    for f in ALL_FAMILIES:
+        d = cli._family_record(f)
+        assert Family(d["family"], d.get("s")) == f
+    assert cli._family_record(binomial(20)) == {"family": "binomial", "s": 20}
+    assert cli._family_record(poisson()) == {"family": "poisson"}
+
+
 # ------------------------------------------------------------------- exit codes
 
 @pytest.fixture
@@ -1072,6 +1115,17 @@ def exit_case_files(tmp_path):
     config["output_dir"] = str(tmp_path / "sim")
     (tmp_path / "config_ok.json").write_text(json.dumps(config))
     paths["config_ok"] = str(tmp_path / "config_ok.json")
+    # Configs holding a number that is not finite, written as text since
+    # json.dumps would write them as Infinity; their output would be "o".
+    config["output_dir"] = str(tmp_path / "o")
+    text = json.dumps(config)[:-1]
+    for name, entry in [("c_tilde_1e999", '"scaling": {"c_tilde": 1e999}'),
+                        ("scale_infinity", '"scaling": {"scale": Infinity}'),
+                        ("note_1e999", '"note": 1e999'),
+                        ("note_nan", '"note": NaN'),
+                        ("c_tilde_huge_int", '"scaling": {"c_tilde": 1%s}' % ("0" * 400))]:
+        (tmp_path / f"{name}.json").write_text(f"{text}, {entry}}}")
+        paths[name] = str(tmp_path / f"{name}.json")
     return paths
 
 
@@ -1111,6 +1165,17 @@ SUBSAMPLE = "subsample {y} {m} --family poisson --k-grid 20 --reps 1"
                  id="estimate-moments-overflow"),
     pytest.param(2, "estimate {leek_overflow} --leek 1 --out {tmp}/o",
                  id="estimate-auto-fallback-overflow"),
+    pytest.param(2, "estimate {y} --family poisson --c-tilde inf --out {tmp}/o",
+                 id="estimate-c-tilde-inf"),
+    pytest.param(2, "estimate {y} --family poisson --scale inf --out {tmp}/o",
+                 id="estimate-scale-inf"),
+    pytest.param(2, "simulate {c_tilde_1e999}", id="simulate-c-tilde-1e999"),
+    pytest.param(2, "simulate {scale_infinity}", id="simulate-scale-infinity"),
+    pytest.param(2, "simulate {note_1e999}", id="simulate-unused-key-1e999"),
+    pytest.param(2, "simulate {note_nan}", id="simulate-unused-key-nan"),
+    pytest.param(2, "simulate {c_tilde_huge_int}", id="simulate-c-tilde-huge-integer"),
+    pytest.param(2, SUBSAMPLE.replace("--k-grid 20", "--k-grid 20,30:25")
+                 + " --rank fixed:2 --out {tmp}/o", id="subsample-reversed-k-grid"),
 ])
 def test_error_exit_codes(exit_case_files, capsys, code, command):
     argv = [arg.format(**exit_case_files) for arg in command.split()]
@@ -1322,8 +1387,10 @@ def _draw_correction(data, n, choices, tmp=None, cols=None):
 def _draw_scaling(data, n):
     rank = data.draw(st.sampled_from(
         ["auto", "auto", "fixed:1", "fixed:2", f"fixed:{n}"]), "rank")
-    scale = data.draw(st.sampled_from(["auto", "1e-300", "1", "1e300"]), "scale")
-    return ["--rank", rank, "--scale", scale]
+    scale = data.draw(st.sampled_from(["auto", "1e-300", "1", "1e300", "inf"]),
+                      "scale")
+    c_tilde = data.draw(st.sampled_from(["1", "1", "0.5", "1e300", "inf"]), "c_tilde")
+    return ["--rank", rank, "--scale", scale, "--c-tilde", c_tilde]
 
 
 def _draw_basis(data, tmp, cols, rng):

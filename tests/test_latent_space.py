@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from latentspec.cli import _json_value
 from latentspec.errors import InvalidParameterError, LengthMismatchError
 from latentspec.latent_space import (
     GRID,
@@ -197,7 +198,7 @@ def test_calibrate_scale_trace_matches_direct_scan(data):
     chosen, trace = calibrate_scale(vals, k, cfg)
     ref_chosen, ref_trace = _loop_calibrate_scale(vals, k, cfg)
     assert chosen.hex() == ref_chosen.hex()
-    assert trace.to_dict() == ref_trace.to_dict()
+    assert _json_value(trace) == _json_value(ref_trace)
 
 
 @pytest.mark.parametrize("vals, k", [([0.0, 5e-324], 1)])
@@ -280,6 +281,10 @@ def test_scaling_config_validation():
         ScalingConfig(scale_coefficient="median")
     with pytest.raises(InvalidParameterError):
         ScalingConfig(scale_coefficient=-1.0)
+    # An infinite threshold or coefficient would reach rank.json as Infinity.
+    for bad in ({"c_tilde": np.inf}, {"scale_coefficient": np.inf}):
+        with pytest.raises(InvalidParameterError, match="finite and positive"):
+            ScalingConfig(**bad)
 
 
 # ----------------------------------------------------------- full estimator
@@ -357,7 +362,7 @@ def test_estimate_rank_auto_invariant_to_power_of_two_scaling(data):
                   & (nonzero <= np.finfo(float).max * 1e-5)))
     scaled = estimate_rank(vals * 2.0 ** j, k)
     assert scaled.r_hat == base.r_hat
-    got, want = scaled.calibration.to_dict(), base.calibration.to_dict()
+    got, want = _json_value(scaled.calibration), _json_value(base.calibration)
     assert {f: got[f] for f in _UNIT_FREE} == {f: want[f] for f in _UNIT_FREE}
     assert scaled.calibration.anchor == base.calibration.anchor * 2.0 ** j
     assert scaled.scale_coefficient == base.scale_coefficient * 2.0 ** j
@@ -374,7 +379,7 @@ def test_calibrate_scale_scan_reads_neither_k_nor_eta(data):
         calibrate_scale(vals, k, ScalingConfig(c_tilde=c_tilde, eta=eta))[1]
         for k in (1, 10**7) for eta in (1.0 / 3.0, 1.0)
     ]
-    scans = [{f: t.to_dict()[f] for f in _UNIT_FREE} for t in traces]
+    scans = [{f: _json_value(t)[f] for f in _UNIT_FREE} for t in traces]
     assert all(scan == scans[0] for scan in scans)
 
 

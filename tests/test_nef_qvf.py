@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from family_helpers import old_mean_region_check, v_value, variance_from_mean
+from family_helpers import (
+    ALL_FAMILIES,
+    old_mean_region_check,
+    v_value,
+    variance_from_mean,
+)
 
 from latentspec.errors import InvalidParameterError, OutOfSupportError
 from latentspec.matrix_core import is_integral
 from latentspec.nef_qvf import (
     Family,
     binomial,
-    family_to_dict,
     gamma,
     ghs,
     in_support,
@@ -20,16 +24,6 @@ from latentspec.nef_qvf import (
     poisson,
     qvf_coefficients,
 )
-
-ALL_FAMILIES = [
-    normal(),
-    poisson(),
-    binomial(20),
-    negbin(10),
-    gamma(10),
-    ghs(2),
-]
-
 
 # ------------------------------------------------------------- coefficients
 
@@ -180,14 +174,6 @@ def test_family_validation():
         Family("gamma")
     with pytest.raises(InvalidParameterError):
         Family("cauchy")
-
-
-def test_family_serialization_round_trip():
-    for f in ALL_FAMILIES:
-        d = family_to_dict(f)
-        assert Family(d["family"], d.get("s")) == f
-    assert family_to_dict(binomial(20)) == {"family": "binomial", "s": 20}
-    assert family_to_dict(poisson()) == {"family": "poisson"}
 
 
 @pytest.mark.parametrize("f", ALL_FAMILIES, ids=lambda f: f.kind)
