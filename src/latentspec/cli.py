@@ -93,10 +93,11 @@ def _load_moments(path, transpose: bool, fam: Family | None) -> Moments:
     """The data file's Moments, with the column sums ``fam`` reads, checked
     against the support of ``fam``.
 
-    A plain file is reduced as it is parsed, and read whole again only to
-    name the positions of a support violation.  Any other file, a
-    transposed one, or one whose counts are too large for exact sums is
-    read whole once.
+    A plain file is reduced as it is parsed.  It is read whole again to
+    name the positions of a support violation, or when its counts are too
+    large for exact sums, which shows only after the first pass has parsed
+    and reduced all of it (about 30 ms at 100000 x 20).  Any other file,
+    or a transposed one, is read whole once.
     """
     moments = data = None
     if not transpose:
@@ -171,6 +172,14 @@ def _config_number(value, name: str) -> float:
         return float(value)
     except OverflowError:  # an integer past the float range
         raise CliError(f"config {name} is an integer past the float range")
+
+
+def _finite_number(text: str) -> float:
+    """A config number, finite since meta.json copies it and JSON has no inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is not finite")
+    return value
 
 
 def _config_int(value, name: str) -> int:
@@ -293,14 +302,6 @@ def cmd_estimate(args) -> int:
         return EXIT_DEGENERATE
     print(f"r_hat={est.r_hat} -> {out / 'm_hat.csv'}")
     return 0
-
-
-def _finite_number(text: str) -> float:
-    """A config number, which must be finite, since JSON has no infinity."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"number {text} is not finite")
-    return value
 
 
 def _config_cells(cfg: dict) -> list[dict]:

@@ -59,7 +59,7 @@ class ScalingConfig:
 
 @dataclass(frozen=True)
 class CalibrationTrace:
-    """Record of one scale-coefficient scan, kept for auditability.
+    """One scale-coefficient scan, written as rank.json's ``calibration``.
 
     ``grid`` and ``plateau_bounds`` are in units of ``anchor``, the median
     positive eigenvalue (0.0 when none is positive); ``chosen`` is the
