@@ -1115,8 +1115,8 @@ def exit_case_files(tmp_path):
     config["output_dir"] = str(tmp_path / "sim")
     (tmp_path / "config_ok.json").write_text(json.dumps(config))
     paths["config_ok"] = str(tmp_path / "config_ok.json")
-    # Configs holding a number that is not finite, written as text since
-    # json.dumps would write them as Infinity; their output would be "o".
+    # Configs holding NaN or a number past the float range, written as
+    # text; each would write its output to "o", which must not be made.
     config["output_dir"] = str(tmp_path / "o")
     text = json.dumps(config)[:-1]
     for name, entry in [("c_tilde_1e999", '"scaling": {"c_tilde": 1e999}'),
