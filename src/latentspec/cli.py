@@ -149,19 +149,18 @@ def _parse_rank(text: str):
     raise CliError(f"rank must be 'auto' or 'fixed:R', got {text!r}")
 
 
-def _scaling(c_tilde: float, eta: float, scale, scale_name: str) -> ScalingConfig:
-    """Scaling from flags or a config; ``scale`` is 'auto' or a positive number."""
+def _scaling(c_tilde: float, eta: float, scale, source: str) -> ScalingConfig:
+    """Scaling from the flags or a config's ``scaling`` object, named by
+    ``source`` in an error; ``scale`` is 'auto', a number or its text."""
     if scale != "auto":
         try:
-            number = float(scale)
-        except (TypeError, ValueError):
-            number = float("nan")
-        if not number > 0:
-            raise CliError(
-                f"{scale_name} must be 'auto' or a positive number, got {scale!r}"
-            )
-        scale = number
-    return ScalingConfig(c_tilde=c_tilde, eta=eta, scale_coefficient=scale)
+            scale = float(scale)
+        except ValueError:
+            pass  # ScalingConfig rejects any text but 'auto'
+    try:
+        return ScalingConfig(c_tilde=c_tilde, eta=eta, scale_coefficient=scale)
+    except InvalidParameterError as exc:
+        raise CliError(f"{source}: {exc}")
 
 
 def _config_number(value, name: str) -> float:
@@ -258,8 +257,8 @@ def _rank_record(est, dk, fam: Family | None) -> dict:
     RankEstimate is a key too."""
     rec = {
         "r_hat": est.r_hat,
-        "rank_mode": "auto" if est.fixed_rank is None else "fixed",
-        "fixed_rank": est.fixed_rank,
+        "rank_mode": "fixed" if est.rank is None else "auto",
+        "fixed_rank": est.r_hat if est.rank is None else None,
         "dk_method": dk.method,
         "negative_flag": dk.negative_flag,
         "eigenvalues": est.eigen.eigenvalues.tolist(),
@@ -285,12 +284,12 @@ def cmd_estimate(args) -> int:
         )
     dk = _variance_estimate(args, moments, fam)
     rank = _parse_rank(args.rank)
-    cfg = _scaling(args.c_tilde, args.eta, args.scale, "--scale")
+    cfg = _scaling(args.c_tilde, args.eta, args.scale, "scaling flags")
     est = estimate_latent_space(moments, dk, rank=rank, cfg=cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_matrix_csv(out / "m_hat.csv", est.m_hat.reshape(est.r_hat, n))
+    write_matrix_csv(out / "m_hat.csv", est.m_hat)
     write_matrix_csv(out / "eigenvalues.csv", est.eigen.eigenvalues)
     _write_json(out / "rank.json", _rank_record(est, dk, fam))
     if est.is_empty:
@@ -348,7 +347,7 @@ def cmd_simulate(args) -> int:
     scaling = _scaling(
         _config_number(c_tilde, "scaling.c_tilde"),
         _config_number(eta, "scaling.eta"),
-        scale, "config scaling.scale",
+        scale, "config scaling",
     )
 
     cells = _config_cells(cfg)
@@ -455,7 +454,7 @@ def cmd_subsample(args) -> int:
     if fam is None:
         raise CliError("--family is required")
     rank = _parse_rank(args.rank)
-    cfg = _scaling(args.c_tilde, args.eta, args.scale, "--scale")
+    cfg = _scaling(args.c_tilde, args.eta, args.scale, "scaling flags")
     # Every draw is a subset of the rows, so it is in support if the file is.
     check_support(fam, data)
 

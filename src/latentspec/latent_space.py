@@ -93,27 +93,26 @@ class RankEstimate:
 
 @dataclass(frozen=True)
 class SubspaceEstimate:
-    """Orthonormal-row basis of the estimated latent row space.
+    """The eigendecomposition of the adjusted gram matrix and how many of
+    its leading eigenvectors to keep.
 
-    ``m_hat`` has one row per retained eigenvector; a zero-row matrix is the
-    legal "empty subspace" outcome when automatic rank selection keeps
-    nothing.  ``eigen`` carries the full decomposition of the adjusted gram
-    matrix for reporting.
+    ``rank`` is the RankEstimate that chose ``r_hat`` under "auto", and
+    None for a fixed rank.  ``m_hat``, the leading ``r_hat`` eigenvectors
+    as rows, is a view into ``eigen``; zero rows is the legal "empty
+    subspace" outcome when automatic rank selection keeps nothing.
     """
 
-    m_hat: np.ndarray
-    eigenvalues: np.ndarray
-    rank: RankEstimate | None
-    fixed_rank: int | None
     eigen: SymmetricEigen
+    r_hat: int
+    rank: RankEstimate | None
 
     @property
-    def r_hat(self) -> int:
-        return self.m_hat.shape[0]
+    def m_hat(self) -> np.ndarray:
+        return self.eigen.eigenvectors[:, :self.r_hat].T
 
     @property
     def is_empty(self) -> bool:
-        return self.m_hat.shape[0] == 0
+        return self.r_hat == 0
 
 
 def adjusted_gram(y, d) -> np.ndarray:
@@ -255,26 +254,14 @@ def estimate_latent_space(y, d, rank="auto",
     g = adjusted_gram(m, d)
     eig = sym_eigen(g)
 
-    rank_record = None
-    fixed = None
     if isinstance(rank, str):
         if rank != "auto":
             raise InvalidParameterError("rank must be 'auto' or an integer")
         rank_record = estimate_rank(eig.eigenvalues, k, cfg)
-        r_hat = rank_record.r_hat
-    else:
-        fixed = int(rank)
-        if not (1 <= fixed <= n):
-            raise InvalidParameterError(
-                f"fixed rank must be in [1, n={n}], got {fixed}"
-            )
-        r_hat = fixed
-
-    m_hat = eig.eigenvectors[:, :r_hat].T.copy()
-    return SubspaceEstimate(
-        m_hat=m_hat,
-        eigenvalues=eig.eigenvalues[:r_hat].copy(),
-        rank=rank_record,
-        fixed_rank=fixed,
-        eigen=eig,
-    )
+        return SubspaceEstimate(eig, rank_record.r_hat, rank_record)
+    fixed = int(rank)
+    if not (1 <= fixed <= n):
+        raise InvalidParameterError(
+            f"fixed rank must be in [1, n={n}], got {fixed}"
+        )
+    return SubspaceEstimate(eig, fixed, None)

@@ -118,8 +118,6 @@ class ScenarioDraw:
     holds neither, but draws the same blocks into one reused buffer.
     """
 
-    scenario: str
-    rep_index: int
     family: Family
     phi: np.ndarray
     m: np.ndarray
@@ -243,8 +241,6 @@ def generate_scenario(cfg: ScenarioConfig, rep_index: int) -> ScenarioDraw:
     for start, stop in _row_blocks(cfg.k, cfg.n):
         walk.draw(start, stop, theta[start:stop], y[start:stop])
     return ScenarioDraw(
-        scenario=cfg.scenario,
-        rep_index=int(rep_index),
         family=walk.family,
         phi=walk.phi,
         m=walk.m,

@@ -779,14 +779,16 @@ def test_output_formats(tmp_path, monkeypatch, poisson_fixture):
     assert all(row[5] == str(int(row[5])) for row in ok)
 
     _, y_path, _ = poisson_fixture
-    for flags, keys, calibrated in [(["--rank", "fixed:2"], RANK_KEYS, None),
-                                    (["--rank", "auto"], AUTO_RANK_KEYS, True),
-                                    (["--scale", "3"], AUTO_RANK_KEYS, False)]:
+    for flags, keys, calibrated, mode, fixed in [
+            (["--rank", "fixed:2"], RANK_KEYS, None, "fixed", 2),
+            (["--rank", "auto"], AUTO_RANK_KEYS, True, "auto", None),
+            (["--scale", "3"], AUTO_RANK_KEYS, False, "auto", None)]:
         out = tmp_path / "_".join(flags)
         assert main(["estimate", str(y_path), "--family", "poisson", *flags,
                      "--out", str(out)]) in (0, 4)
         record = json.loads((out / "rank.json").read_text())
         assert set(record) == keys
+        assert (record["rank_mode"], record["fixed_rank"]) == (mode, fixed)
         if calibrated is not None:
             assert isinstance(record["scaled_eigenvalues"], list)
             assert (record["calibration"] is not None) == calibrated
@@ -797,6 +799,30 @@ def test_output_formats(tmp_path, monkeypatch, poisson_fixture):
 def test_simulate_guardrails(tmp_path):
     path, _ = write_sim_config(tmp_path, k=20000)
     assert main(["simulate", str(path)]) == 2
+
+
+SCALE_ERROR = "scale_coefficient must be finite and positive, or 'auto'"
+
+
+@pytest.mark.parametrize("value, text", [("-1", "-1"), ("0", "0"),
+                                         ("nan", "NaN"), ("inf", "Infinity")])
+def test_bad_scale_prints_one_message(tmp_path, capsys, poisson_fixture,
+                                      value, text):
+    # ScalingConfig is the one home of the rule; the command line only names
+    # where the values came from.  A config holding NaN or Infinity is not
+    # read at all, as no config number may be non-finite.
+    _, y_path, _ = poisson_fixture
+    assert main(["estimate", str(y_path), "--family", "poisson", "--scale",
+                 value, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: scaling flags: {SCALE_ERROR}"]
+    path, cfg = write_sim_config(tmp_path)
+    path.write_text(json.dumps(cfg).replace('"scale": "auto"', f'"scale": {text}'))
+    assert main(["simulate", str(path)]) == 2
+    want = (f"error: config scaling: {SCALE_ERROR}" if value in ("-1", "0")
+            else f"error: cannot read config {path}: number {text} is not finite")
+    assert capsys.readouterr().err.splitlines() == [want]
+    assert not (tmp_path / "o").exists() and not (tmp_path / "sim").exists()
 
 
 @pytest.mark.parametrize("overrides, code", [

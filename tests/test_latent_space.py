@@ -295,7 +295,7 @@ def test_estimate_fixed_rank_diagonal_case():
     y[:, 0] = 2.0
     est = estimate_latent_space(y, np.zeros(3), rank=1)
     np.testing.assert_allclose(est.m_hat, [[1.0, 0.0, 0.0]], atol=1e-12)
-    assert est.eigenvalues[0] == pytest.approx(4.0)
+    assert est.eigen.eigenvalues[0] == pytest.approx(4.0)
 
 
 def test_estimate_rank_one_noiseless():
