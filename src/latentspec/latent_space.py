@@ -98,8 +98,8 @@ class SubspaceEstimate:
 
     ``rank`` is the RankEstimate that chose ``r_hat`` under "auto", and
     None for a fixed rank.  ``m_hat``, the leading ``r_hat`` eigenvectors
-    as rows, is a view into ``eigen``; zero rows is the legal "empty
-    subspace" outcome when automatic rank selection keeps nothing.
+    as rows, is a view into ``eigen``; with zero rows it is the legal
+    "empty subspace" outcome when automatic rank selection keeps nothing.
     """
 
     eigen: SymmetricEigen
