@@ -47,13 +47,14 @@ class ScalingConfig:
 
     def __post_init__(self):
         if not 0 < self.c_tilde < math.inf:
-            raise InvalidParameterError("c_tilde must be finite and positive")
+            raise InvalidParameterError(
+                f"c_tilde must be finite and positive, got {self.c_tilde!r}")
         if not (0.0 < self.eta <= 1.0):
-            raise InvalidParameterError("eta must be in (0, 1]")
+            raise InvalidParameterError(f"eta must be in (0, 1], got {self.eta!r}")
         sc = self.scale_coefficient
         if sc != "auto" and (isinstance(sc, str) or not 0 < sc < math.inf):
             raise InvalidParameterError(
-                "scale_coefficient must be finite and positive, or 'auto'"
+                f"scale_coefficient must be finite and positive, or 'auto', got {sc!r}"
             )
 
 

@@ -9,12 +9,13 @@ A replication is drawn in row blocks, in stream order: each block's means
 are its rows of phi @ m, and numpy's samplers read the stream element by
 element in C order, so the blocks give the same variates as one
 whole-matrix call.  The sampler is called on 64 KiB chunks of a block,
-whose variates go straight into the block's rows.  ``generate_scenario``
-writes the blocks into whole k x n ``theta`` and ``y``.  The replication
-harness draws each block into one buffer that a worker allocates once,
-and ``_block_moments``, the reducer every input goes through, adds each
-block to the Moments in block order as it is drawn, so a worker holds its
-k x r coefficients, its buffer and one chunk's draw, and no k x n array.
+whose variates go straight into the block's rows, over its means.
+``generate_scenario`` writes the blocks into one whole k x n ``y``.  The
+replication harness draws each block into one buffer that a worker
+allocates once, and ``_block_moments``, the reducer every input goes
+through, adds each block to the Moments in block order as it is drawn, so
+a worker holds its k x r coefficients, its buffer and one chunk's draw,
+and no k x n array.
 ``true_deltas`` is the column average of the exact variances up to
 rounding, computed in closed form from the k x r coefficients alone.
 """
@@ -105,23 +106,20 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ScenarioDraw:
-    """One simulated instance: coefficients, basis, means, data, truths.
+    """One simulated instance: coefficients, basis, data, truths.
 
-    ``theta`` is phi @ m, computed one row block at a time (a block's last
-    bits can differ from those of the whole product, as BLAS picks its
-    kernel by shape).  For the binomial scenario theta holds success
-    probabilities and the family-level mean is s * theta; everywhere else
-    theta is the mean itself.  ``w_exact`` is the finite-k coefficient gram
+    The means are phi @ m.  For the binomial scenario they are success
+    probabilities and the family-level mean is s * phi @ m; everywhere else
+    they are the mean itself.  ``w_exact`` is the finite-k coefficient gram
     phi^T phi / k; ``true_deltas``, the column averages of the exact
     observation variances, are computed in closed form (see ``_Walk``).
-    ``theta`` and ``y`` are whole k x n arrays; the replication harness
-    holds neither, but draws the same blocks into one reused buffer.
+    ``y`` is the one whole k x n array; the replication harness does not
+    hold it, but draws the same blocks into one reused buffer.
     """
 
     family: Family
     phi: np.ndarray
     m: np.ndarray
-    theta: np.ndarray
     y: DataMatrix
     true_deltas: np.ndarray
     w_exact: np.ndarray
@@ -187,45 +185,45 @@ class _Walk:
         self.true_deltas = (b.b0 + b.b1 * c * (phi.mean(axis=0) @ m)
                             + b.b2 * c * c * (m * (w @ m)).sum(axis=0))
 
-    def draw(self, start: int, stop: int, theta: np.ndarray,
-             y: np.ndarray) -> None:
-        """Write rows start:stop of phi @ m into ``theta`` and their
-        observations into ``y``, which may be ``theta`` itself.
+    def draw(self, start: int, stop: int, out: np.ndarray) -> None:
+        """Write the observations of rows start:stop into ``out``.
 
-        The observations are drawn ``_CHUNK_ENTRIES`` entries of the block
-        at a time, in C order, and written straight into ``y``, so no
-        sampler output is larger than one chunk.  Both arrays must be
-        C-contiguous, as row slices of C arrays are: their flat views are
-        what the chunks write.  Blocks must be drawn in row order.  Raises
-        OutOfSupportError for means outside the family's region.
+        ``out`` first takes the block's rows of phi @ m, which gamma and
+        negbin transform in place into their samplers' parameters; the
+        observations are then drawn ``_CHUNK_ENTRIES`` entries at a time,
+        in C order, each chunk over its own means, so no sampler output is
+        larger than one chunk.  ``out`` must be C-contiguous, as a row
+        slice of a C array is: its flat view is what the chunks write.
+        Blocks must be drawn in row order.  Raises OutOfSupportError for
+        means outside the family's region.
         """
-        np.matmul(self.phi[start:stop], self.m, out=theta)
+        np.matmul(self.phi[start:stop], self.m, out=out)
         c, s, rng = self.scale, self.family.s, self.rng
-        if not in_support(self.family, c * theta.min(), c * theta.max(), True):
+        if not in_support(self.family, c * out.min(), c * out.max(), True):
             raise OutOfSupportError(f"{self.family.kind} means outside the mean region")
         scenario = self.cfg.scenario
         if scenario == "gamma":  # gamma(s, theta / s) = (theta / s) * G(s)
-            np.divide(theta, s, out=y)
+            out /= s
         elif scenario == "negbin":  # success probability s / (s + theta)
-            np.add(theta, s, out=y)
-            np.divide(s, y, out=y)
-        means, obs = theta.reshape(-1), y.reshape(-1)
-        for a in range(0, obs.size, _CHUNK_ENTRIES):
-            t, out = means[a:a + _CHUNK_ENTRIES], obs[a:a + _CHUNK_ENTRIES]
+            out += s
+            np.divide(s, out, out=out)
+        flat = out.reshape(-1)
+        for a in range(0, flat.size, _CHUNK_ENTRIES):
+            t = flat[a:a + _CHUNK_ENTRIES]
             if scenario == "normal":
-                np.add(t, rng.normal(0.0, 1.0, size=t.shape), out=out)
+                t += rng.normal(0.0, 1.0, size=t.shape)
             elif scenario == "gamma":
-                out *= rng.standard_gamma(s, size=t.shape)
+                t *= rng.standard_gamma(s, size=t.shape)
             elif scenario == "poisson":
-                out[:] = rng.poisson(t)
+                t[:] = rng.poisson(t)
             elif scenario == "binomial":
-                out[:] = rng.binomial(int(s), t)
-            else:  # negbin, with out holding the success probabilities
-                out[:] = rng.negative_binomial(s, out)
+                t[:] = rng.binomial(int(s), t)
+            else:  # negbin, with t holding the success probabilities
+                t[:] = rng.negative_binomial(s, t)
 
 
 def _block_buffer(cfg: ScenarioConfig) -> np.ndarray:
-    """Rows for the largest of the cell's row blocks, as theta and y both.
+    """Rows for the largest of the cell's row blocks, means then data.
 
     A replication worker allocates one and draws each block of each of its
     replications into it.
@@ -237,14 +235,13 @@ def _block_buffer(cfg: ScenarioConfig) -> np.ndarray:
 def generate_scenario(cfg: ScenarioConfig, rep_index: int) -> ScenarioDraw:
     """Deterministic draw of one replication of the configured scenario."""
     walk = _Walk(cfg, rep_index)
-    theta, y = np.empty((cfg.k, cfg.n)), np.empty((cfg.k, cfg.n))
+    y = np.empty((cfg.k, cfg.n))
     for start, stop in _row_blocks(cfg.k, cfg.n):
-        walk.draw(start, stop, theta[start:stop], y[start:stop])
+        walk.draw(start, stop, y[start:stop])
     return ScenarioDraw(
         family=walk.family,
         phi=walk.phi,
         m=walk.m,
-        theta=theta,
         y=DataMatrix(y),
         true_deltas=walk.true_deltas,
         w_exact=walk.w_exact,
@@ -271,7 +268,7 @@ def _replication_moments(cfg: ScenarioConfig, rep_index: int,
     def blocks():
         for start, stop in _row_blocks(cfg.k, cfg.n):
             block = buf[:stop - start]
-            walk.draw(start, stop, block, block)
+            walk.draw(start, stop, block)
             yield block
 
     moments = _block_moments(blocks(), whole_support(walk.family))

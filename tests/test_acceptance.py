@@ -209,10 +209,11 @@ def test_criterion_7_noiseless_identity():
             cfg = ScenarioConfig(scenario=scenario, n=15, k=10000, r=5,
                                  reps=1, seed=SEED)
             draw = generate_scenario(cfg, 0)
-            g = adjusted_gram(draw.theta, np.zeros(15))
+            theta = draw.phi @ draw.m
+            g = adjusted_gram(theta, np.zeros(15))
             h = draw.m.T @ draw.w_exact @ draw.m
             assert frobenius_norm(g - h) <= 1e-8, scenario
-            est = estimate_latent_space(draw.theta, np.zeros(15), rank=5)
+            est = estimate_latent_space(theta, np.zeros(15), rank=5)
             assert subspace_distance(draw.m, est.m_hat) <= 1e-6, scenario
         assert time.time() - start < 5.0
 

@@ -804,23 +804,28 @@ def test_simulate_guardrails(tmp_path):
 SCALE_ERROR = "scale_coefficient must be finite and positive, or 'auto'"
 
 
-@pytest.mark.parametrize("value, text", [("-1", "-1"), ("0", "0"),
-                                         ("nan", "NaN"), ("inf", "Infinity")])
+@pytest.mark.parametrize("value, got, text", [
+    ("-1", "-1.0", "-1"), ("0", "0.0", "0"), ("nan", "nan", "NaN"),
+    ("inf", "inf", "Infinity"), ("abc", "'abc'", '"abc"'),
+], ids=["-1--1", "0-0", "nan-NaN", "inf-Infinity", "abc"])
 def test_bad_scale_prints_one_message(tmp_path, capsys, poisson_fixture,
-                                      value, text):
-    # ScalingConfig is the one home of the rule; the command line only names
-    # where the values came from.  A config holding NaN or Infinity is not
-    # read at all, as no config number may be non-finite.
+                                      value, got, text):
+    # ScalingConfig is the one home of the rule, and names the value it
+    # rejects; the command line only names where the values came from.  A
+    # config holding NaN or Infinity is not read at all, as no config number
+    # may be non-finite, and a config scale that is text is not a number.
     _, y_path, _ = poisson_fixture
     assert main(["estimate", str(y_path), "--family", "poisson", "--scale",
                  value, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"error: scaling flags: {SCALE_ERROR}"]
+        f"error: scaling flags: {SCALE_ERROR}, got {got}"]
     path, cfg = write_sim_config(tmp_path)
     path.write_text(json.dumps(cfg).replace('"scale": "auto"', f'"scale": {text}'))
     assert main(["simulate", str(path)]) == 2
-    want = (f"error: config scaling: {SCALE_ERROR}" if value in ("-1", "0")
-            else f"error: cannot read config {path}: number {text} is not finite")
+    want = {"-1": f"error: config scaling: {SCALE_ERROR}, got -1.0",
+            "0": f"error: config scaling: {SCALE_ERROR}, got 0.0",
+            "abc": "error: config scaling.scale must be a number, got 'abc'",
+            }.get(value, f"error: cannot read config {path}: number {text} is not finite")
     assert capsys.readouterr().err.splitlines() == [want]
     assert not (tmp_path / "o").exists() and not (tmp_path / "sim").exists()
 

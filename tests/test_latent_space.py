@@ -54,7 +54,7 @@ def test_adjusted_gram_length_mismatch():
 def test_adjusted_gram_noiseless_identity():
     cfg = ScenarioConfig(scenario="normal", n=15, k=10000, r=5, reps=1, seed=1)
     draw = generate_scenario(cfg, 0)
-    g = adjusted_gram(draw.theta, np.zeros(15))
+    g = adjusted_gram(draw.phi @ draw.m, np.zeros(15))
     h = draw.m.T @ draw.w_exact @ draw.m
     assert frobenius_norm(g - h) <= 1e-8
 
