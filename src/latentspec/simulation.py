@@ -151,7 +151,7 @@ def _row_blocks(k: int, n: int):
 class _Walk:
     """One replication, drawn one row block at a time in stream order.
 
-    ``draw`` writes a block's rows of phi @ m and their observations, which
+    ``draw`` writes a block's observations over its rows of phi @ m, which
     numpy's samplers draw element by element in C order, so blocks drawn in
     row order give the same variates as one whole-matrix call.  The means
     are mu = c * phi @ m (c = s for binomial, else 1), so the column average
