@@ -1,15 +1,17 @@
 """Seeded scenario generators and the replication harness.
 
 Five data-generating scenarios (normal, poisson, binomial, negbin, gamma)
-draw a coefficient matrix, a latent basis, the implied mean matrix, and
+are one row each of ``_SCENARIOS``: an observation family and the laws of a
+coefficient matrix and a latent basis, whose product is the mean matrix of
 conditionally independent observations.  Per-replication randomness comes
 from a counter-based generator keyed statelessly by (seed, rep_index), so
 replications are reproducible and independent regardless of scheduling.
 A replication is drawn in row blocks, in stream order: each block's means
 are its rows of phi @ m, and numpy's samplers read the stream element by
 element in C order, so the blocks give the same variates as one
-whole-matrix call.  The sampler is called on 64 KiB chunks of a block,
-whose variates go straight into the block's rows, over its means.
+whole-matrix call.  The family's sampler is called on 64 KiB chunks of a
+block, each turned in place into the sampler's parameters and then
+overwritten by its variates, so they go straight into the block's rows.
 ``generate_scenario`` writes the blocks into one whole k x n ``y``.  The
 replication harness draws each block into one buffer that a worker
 allocates once, and ``_block_moments``, the reducer every input goes
@@ -41,13 +43,16 @@ from .nef_qvf import Family, in_support, qvf_coefficients, whole_support
 from .subspace_metrics import RowSpaceBasis, subspace_distance
 from .variance_estimation import dk_error, estimate_dk_qvf
 
-# Observation family of each scenario.
-SCENARIO_FAMILIES = {
-    "normal": Family("normal"),
-    "poisson": Family("poisson"),
-    "binomial": Family("binomial", 20),
-    "negbin": Family("negbin", 10),
-    "gamma": Family("gamma", 10),
+# One row per scenario, as in README's Scenarios table: its observation
+# family, then the laws of the coefficients phi and of the basis m, each a
+# Generator method and its arguments (None: ``_binomial_basis``).
+_SCENARIOS = {
+    "normal": (Family("normal"), ("normal", 0.0, 1.0), ("uniform", 1.0, 10.0)),
+    "poisson": (Family("poisson"), ("noncentral_chisquare", 9.0, 1.0),
+                ("uniform", 1.0, 5.0)),
+    "binomial": (Family("binomial", 20), ("uniform", 0.05, 0.95), None),
+    "negbin": (Family("negbin", 10), ("uniform", 0.5, 2.0), ("uniform", 0.3, 1.5)),
+    "gamma": (Family("gamma", 10), ("uniform", 0.5, 2.0), ("uniform", 0.3, 1.5)),
 }
 
 # Counter-based generator; streams derive statelessly from (seed, rep_index).
@@ -77,7 +82,7 @@ def rep_rng(seed: int, rep_index: int) -> np.random.Generator:
 def scenario_family(scenario: str) -> Family:
     """Observation family used by the scenario."""
     try:
-        return SCENARIO_FAMILIES[scenario]
+        return _SCENARIOS[scenario][0]
     except (KeyError, TypeError):  # TypeError: unhashable config value
         raise InvalidParameterError(f"unknown scenario {scenario!r}") from None
 
@@ -151,35 +156,25 @@ def _row_blocks(k: int, n: int):
 class _Walk:
     """One replication, drawn one row block at a time in stream order.
 
-    ``draw`` writes a block's observations over its rows of phi @ m, which
-    numpy's samplers draw element by element in C order, so blocks drawn in
-    row order give the same variates as one whole-matrix call.  The means
-    are mu = c * phi @ m (c = s for binomial, else 1), so the column average
-    of the exact variances b0 + b1*mu + b2*mu^2 is ``true_deltas`` =
-    b0 + b1*c*(phibar @ m) + b2*c^2*diag(m^T w m), from phi's column means
-    phibar and ``w_exact`` w = phi^T phi / k alone.  Up to rounding it
-    equals the average of the variances entry by entry.
+    phi and then m are drawn by the laws of the scenario's ``_SCENARIOS``
+    row.  ``draw`` writes a block's observations over its rows of phi @ m,
+    which numpy's samplers draw element by element in C order, so blocks
+    drawn in row order give the same variates as one whole-matrix call.
+    The means are mu = c * phi @ m (c = s for binomial, else 1), so the
+    column average of the exact variances b0 + b1*mu + b2*mu^2 is
+    ``true_deltas`` = b0 + b1*c*(phibar @ m) + b2*c^2*diag(m^T w m), from
+    phi's column means phibar and ``w_exact`` w = phi^T phi / k alone.  Up
+    to rounding it equals the average of the variances entry by entry.
     """
 
     def __init__(self, cfg: ScenarioConfig, rep_index: int):
-        self.cfg = cfg
-        self.family = scenario_family(cfg.scenario)
+        self.family, phi_law, m_law = _SCENARIOS[cfg.scenario]
         self.rng = rng = rep_rng(cfg.seed, rep_index)
         k, n, r = cfg.k, cfg.n, cfg.r
-        if cfg.scenario == "normal":
-            self.phi = rng.normal(0.0, 1.0, size=(k, r))
-            self.m = rng.uniform(1.0, 10.0, size=(r, n))
-        elif cfg.scenario == "poisson":
-            self.phi = rng.noncentral_chisquare(9.0, 1.0, size=(k, r))
-            self.m = rng.uniform(1.0, 5.0, size=(r, n))
-        elif cfg.scenario == "binomial":
-            self.phi = rng.uniform(0.05, 0.95, size=(k, r))
-            self.m = _binomial_basis(r, n)
-        else:  # negbin, gamma
-            self.phi = rng.uniform(0.5, 2.0, size=(k, r))
-            self.m = rng.uniform(0.3, 1.5, size=(r, n))
-        phi, m = self.phi, self.m
-        self.scale = c = self.family.s if cfg.scenario == "binomial" else 1.0
+        self.phi = phi = getattr(rng, phi_law[0])(*phi_law[1:], size=(k, r))
+        self.m = m = (_binomial_basis(r, n) if m_law is None
+                      else getattr(rng, m_law[0])(*m_law[1:], size=(r, n)))
+        self.scale = c = self.family.s if self.family.kind == "binomial" else 1.0
         self.w_exact = w = (phi.T @ phi) / float(k)
         b = qvf_coefficients(self.family)
         self.true_deltas = (b.b0 + b.b1 * c * (phi.mean(axis=0) @ m)
@@ -188,37 +183,34 @@ class _Walk:
     def draw(self, start: int, stop: int, out: np.ndarray) -> None:
         """Write the observations of rows start:stop into ``out``.
 
-        ``out`` first takes the block's rows of phi @ m, which gamma and
-        negbin transform in place into their samplers' parameters; the
-        observations are then drawn ``_CHUNK_ENTRIES`` entries at a time,
-        in C order, each chunk over its own means, so no sampler output is
+        ``out`` first takes the block's rows of phi @ m.  The observations
+        are then drawn ``_CHUNK_ENTRIES`` entries at a time, in C order,
+        each over its own chunk of means, which gamma and negbin first turn
+        in place into their samplers' parameters; so no sampler output is
         larger than one chunk.  ``out`` must be C-contiguous, as a row
         slice of a C array is: its flat view is what the chunks write.
         Blocks must be drawn in row order.  Raises OutOfSupportError for
         means outside the family's region.
         """
         np.matmul(self.phi[start:stop], self.m, out=out)
-        c, s, rng = self.scale, self.family.s, self.rng
+        c, kind, s, rng = self.scale, self.family.kind, self.family.s, self.rng
         if not in_support(self.family, c * out.min(), c * out.max(), True):
-            raise OutOfSupportError(f"{self.family.kind} means outside the mean region")
-        scenario = self.cfg.scenario
-        if scenario == "gamma":  # gamma(s, theta / s) = (theta / s) * G(s)
-            out /= s
-        elif scenario == "negbin":  # success probability s / (s + theta)
-            out += s
-            np.divide(s, out, out=out)
+            raise OutOfSupportError(f"{kind} means outside the mean region")
         flat = out.reshape(-1)
         for a in range(0, flat.size, _CHUNK_ENTRIES):
             t = flat[a:a + _CHUNK_ENTRIES]
-            if scenario == "normal":
+            if kind == "normal":
                 t += rng.normal(0.0, 1.0, size=t.shape)
-            elif scenario == "gamma":
+            elif kind == "gamma":  # gamma(s, t / s) = (t / s) * G(s)
+                t /= s
                 t *= rng.standard_gamma(s, size=t.shape)
-            elif scenario == "poisson":
+            elif kind == "poisson":
                 t[:] = rng.poisson(t)
-            elif scenario == "binomial":
+            elif kind == "binomial":
                 t[:] = rng.binomial(int(s), t)
-            else:  # negbin, with t holding the success probabilities
+            else:  # negbin, with success probability s / (s + t)
+                t += s
+                np.divide(s, t, out=t)
                 t[:] = rng.negative_binomial(s, t)
 
 
