@@ -25,6 +25,7 @@ rounding, computed in closed form from the k x r coefficients alone.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,6 +102,11 @@ class ScenarioConfig:
 
     def __post_init__(self):
         scenario_family(self.scenario)  # rejects an unknown scenario
+        for name in ("n", "k", "r", "reps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if not (1 <= self.r < self.n):
             raise InvalidParameterError("need 1 <= r < n")
         check_columns(self.n)

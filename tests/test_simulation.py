@@ -1,6 +1,7 @@
 """Scenario generators and the replication harness."""
 
 import math
+import re
 import threading
 import time
 import tracemalloc
@@ -39,6 +40,26 @@ def test_config_validation():
         ScenarioConfig(scenario="normal", n=10, k=100, r=10)
     with pytest.raises(InvalidParameterError):
         ScenarioConfig(scenario="normal", n=10, k=100, r=2, reps=0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n", 15.0), ("k", 200.0), ("r", 3.0), ("reps", 2.0), ("seed", 1.0),
+    ("r", True), ("n", True), ("seed", False), ("k", "200"),
+    ("reps", np.float64(2.0)), ("r", np.True_)])
+def test_config_sizes_must_be_integers(name, value):
+    # A float or bool r passed the range checks and failed every replication
+    # with a TypeError; a float n, k or reps raised one from run_replications.
+    sizes = {"n": 15, "k": 200, "r": 3, "reps": 2, "seed": 0, name: value}
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape(f"{name} must be an integer, got {value!r}")):
+        ScenarioConfig("poisson", **sizes)
+
+
+def test_config_takes_numpy_integers_as_ints():
+    cfg = ScenarioConfig("poisson", n=np.int64(15), k=np.int32(200), r=np.uint8(3),
+                         reps=np.int16(2), seed=np.uint64(2 ** 64 - 1))
+    assert cfg == ScenarioConfig("poisson", n=15, k=200, r=3, reps=2, seed=2 ** 64 - 1)
+    assert {type(getattr(cfg, name)) for name in ("n", "k", "r", "reps", "seed")} == {int}
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
