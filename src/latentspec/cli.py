@@ -274,6 +274,8 @@ def cmd_estimate(args) -> int:
     if sum(flag is not None for flag in chosen) != 1:
         raise CliError("exactly one of --family, --leek, --dk-file is required")
     fam = _family_from_args(args)
+    rank = _parse_rank(args.rank)
+    cfg = _scaling(args.c_tilde, args.eta, args.scale, "scaling flags")
     moments = _load_moments(args.data, args.transpose, fam)
     k, n = moments.k, moments.n
     if k <= n:
@@ -283,8 +285,6 @@ def cmd_estimate(args) -> int:
             file=sys.stderr,
         )
     dk = _variance_estimate(args, moments, fam)
-    rank = _parse_rank(args.rank)
-    cfg = _scaling(args.c_tilde, args.eta, args.scale, "scaling flags")
     est = estimate_latent_space(moments, dk, rank=rank, cfg=cfg)
 
     out = Path(args.out)
@@ -444,17 +444,17 @@ def cmd_subsample(args) -> int:
 
     if args.reps < 1:
         raise CliError(f"--reps must be at least 1, got {args.reps}")
+    fam = _family_from_args(args)
+    if fam is None:
+        raise CliError("--family is required")
+    rank = _parse_rank(args.rank)
+    cfg = _scaling(args.c_tilde, args.eta, args.scale, "scaling flags")
     data = _load_data(args.data, args.transpose).values
     m = read_matrix_csv(args.m)
     k_full, n = data.shape
     if m.shape[1] != n:
         raise CliError(f"M has {m.shape[1]} columns, data has {n}")
     k_grid = _parse_int_list(args.k_grid, "--k-grid", 1, k_full)
-    fam = _family_from_args(args)
-    if fam is None:
-        raise CliError("--family is required")
-    rank = _parse_rank(args.rank)
-    cfg = _scaling(args.c_tilde, args.eta, args.scale, "scaling flags")
     # Every draw is a subset of the rows, so it is in support if the file is.
     check_support(fam, data)
 

@@ -1217,6 +1217,31 @@ def test_error_exit_codes(exit_case_files, capsys, code, command):
     assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, message", [
+    pytest.param("estimate {data} --family poisson --scale abc", "scaling flags: "
+                 "scale_coefficient must be finite and positive, or 'auto', got 'abc'",
+                 id="estimate-scale"),
+    pytest.param("estimate {data} --family poisson --rank fixed:x",
+                 "bad rank spec 'fixed:x'", id="estimate-rank"),
+    pytest.param("subsample {data} {data} --k-grid 5 --rank fixed:x",
+                 "--family is required", id="subsample-family"),
+    pytest.param("subsample {data} {data} --family poisson --k-grid 5 --eta 2",
+                 "scaling flags: eta must be in (0, 1], got 2.0", id="subsample-eta"),
+])
+def test_flags_are_checked_before_the_data_is_read(tmp_path, capsys, monkeypatch,
+                                                   command, message):
+    # The data file does not exist, so a flag error can win only if the
+    # flags are checked before the file is read.
+    reads = []
+    for name in ("_load_moments", "_load_data"):
+        monkeypatch.setattr(cli, name, lambda *args, real=getattr(cli, name):
+                            reads.append(args) or real(*args))
+    argv = command.format(data=tmp_path / "missing.csv").split()
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert reads == [] and not (tmp_path / "o").exists()
+
+
 def test_memory_error_exits_2(exit_case_files, capsys, monkeypatch):
     # A matrix too large for memory, such as the k x k gram of a tall file
     # under --transpose, is one error line and exit 2, with nothing written.
