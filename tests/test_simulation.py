@@ -5,6 +5,7 @@ import re
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +85,33 @@ def test_scenario_families():
     assert scenario_family("binomial").s == 20
     assert scenario_family("negbin").s == 10
     assert scenario_family("gamma").s == 10
+
+
+# Each README spelling of a family or a law in the Scenarios table.
+_README_NAMES = {"normal": "Normal", "poisson": "Poisson", "binomial": "Binomial",
+                 "negbin": "NegBin", "gamma": "Gamma", "uniform": "Uniform",
+                 "noncentral_chisquare": "noncentral chi2"}
+
+
+def _readme_law(law):
+    if law is None:  # the one basis with no law
+        return "identity block + 1/r"
+    name, *args = law
+    return f"{_README_NAMES[name]}({', '.join(f'{a:g}' for a in args)})"
+
+
+def test_readme_scenarios_table_matches_the_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Scenarios\n", 1)[1].split("\n## ", 1)[0]
+    header, _, *rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                        for line in section.splitlines() if line.startswith("|")]
+    assert header == ["scenario", "observations", "coefficients", "latent basis"]
+    assert [row[0] for row in rows] == list(sim._SCENARIOS)
+    for scenario, observations, phi_law, m_law in rows:
+        family, *laws = sim._SCENARIOS[scenario]
+        assert [phi_law, m_law] == [_readme_law(law) for law in laws], scenario
+        s = "theta" if family.s is None else f"{family.s:g},"
+        assert observations.startswith(f"{_README_NAMES[family.kind]}({s}")
 
 
 # --------------------------------------------------------------- generators
