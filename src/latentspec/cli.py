@@ -181,13 +181,10 @@ def _finite_number(text: str) -> float:
     return value
 
 
-def _config_int(value, name: str) -> int:
-    """A JSON integer, or a float with an integral value such as 6.0."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CliError(f"config {name} must be an integer, got {value!r}")
-    return value
+def _config_int(value):
+    """A float with an integral value, such as 6.0, as that integer; any
+    other value as it is, for ScenarioConfig to check."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def _parse_int_list(text: str, name: str, lo: int, hi: int) -> list[int]:
@@ -303,23 +300,28 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _config_cells(cfg: dict) -> list[dict]:
-    """The cross product of the config's scenario, n, k and r lists; a
-    single value is a list of one, and an empty list is an error."""
+def _config_cells(cfg: dict, scaling: ScalingConfig) -> list:
+    """One ScenarioConfig per cell of the cross product of the config's
+    scenario, n, k and r lists, each checked as it is made; a single value
+    is a list of one, and an empty list is an error.  ``reps`` and ``seed``
+    are passed only when the config sets them."""
+    from .simulation import ScenarioConfig
+
     def values(key):
         v = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
         if not v:
             raise CliError(f"config {key} must not be an empty list")
-        return v if key == "scenario" else [_config_int(x, key) for x in v]
+        return v if key == "scenario" else [_config_int(x) for x in v]
 
     scenarios, ns, ks, rs = map(values, ("scenario", "n", "k", "r"))
-    return [{"scenario": scenario, "n": n, "k": k, "r": r}
+    given = {key: _config_int(cfg[key]) for key in ("reps", "seed") if key in cfg}
+    return [ScenarioConfig(scenario, n, k, r, scaling=scaling, **given)
             for scenario in scenarios for n in ns for k in ks for r in rs]
 
 
 def cmd_simulate(args) -> int:
     from .simulation import (RNG_ALGORITHM, RepRecord, ReplicationStats,
-                             ScenarioConfig, run_replications)
+                             run_replications)
 
     threads = _resolve_threads(args.threads)
     try:
@@ -334,8 +336,6 @@ def cmd_simulate(args) -> int:
             raise CliError(f"config missing key {key!r}")
     if not isinstance(cfg["output_dir"], str):
         raise CliError(f"config output_dir must be a string, got {cfg['output_dir']!r}")
-    reps = _config_int(cfg.get("reps", 50), "reps")
-    seed = _config_int(cfg.get("seed", 0), "seed")
     scaling_cfg = cfg.get("scaling", {})
     if not isinstance(scaling_cfg, dict):
         raise CliError("config scaling is not a JSON object")
@@ -350,23 +350,18 @@ def cmd_simulate(args) -> int:
         scale, "config scaling",
     )
 
-    cells = _config_cells(cfg)
+    # Every cell is checked before anything is written.
+    configs = _config_cells(cfg, scaling)
     if not args.full:
-        for cell in cells:
-            if (
-                cell["k"] > MAX_K_DEFAULT
-                or cell["n"] > MAX_N_DEFAULT
-                or reps > MAX_REPS_DEFAULT
-            ):
+        for sc in configs:
+            if (sc.k > MAX_K_DEFAULT or sc.n > MAX_N_DEFAULT
+                    or sc.reps > MAX_REPS_DEFAULT):
+                cell = {name: getattr(sc, name) for name in _CELL_COLUMNS}
                 raise CliError(
-                    f"cell {cell} with reps={reps} exceeds the desk-scale "
+                    f"cell {cell} with reps={sc.reps} exceeds the desk-scale "
                     f"limits (k<={MAX_K_DEFAULT}, n<={MAX_N_DEFAULT}, "
                     f"reps<={MAX_REPS_DEFAULT}); pass --full to run it"
                 )
-
-    # Every cell is checked before anything is written.
-    configs = [ScenarioConfig(**cell, reps=reps, seed=seed, scaling=scaling)
-               for cell in cells]
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
 
@@ -375,7 +370,7 @@ def cmd_simulate(args) -> int:
     for sc in configs:
         stats = run_replications(sc, threads=threads)
         cell = [getattr(sc, name) for name in _CELL_COLUMNS]
-        summary_rows.append(cell + [reps] + [
+        summary_rows.append(cell + [sc.reps] + [
             getattr(stats, name) for name in stats.summary_columns])
         rep_rows.extend(cell + [getattr(rec, name) for name in rep_columns]
                         for rec in stats.records)
@@ -387,7 +382,8 @@ def cmd_simulate(args) -> int:
                  [*_CELL_COLUMNS,
                   *("rep" if name == "rep_index" else name for name in rep_columns)],
                  rep_rows)
-    meta = {"rng": RNG_ALGORITHM, "seed": seed, "reps": reps, "config": cfg}
+    first = configs[0]  # every cell has the config's one seed and reps
+    meta = {"rng": RNG_ALGORITHM, "seed": first.seed, "reps": first.reps, "config": cfg}
     _write_json(out / "meta.json", meta)
     print(f"wrote {out / 'summary.csv'} ({len(summary_rows)} cells)")
     return 0

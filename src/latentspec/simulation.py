@@ -90,7 +90,7 @@ def scenario_family(scenario: str) -> Family:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulation cell: scenario, sizes, replication count, seed."""
+    """One simulation cell: scenario, sizes, reps, seed and scaling, all checked."""
 
     scenario: str
     n: int
@@ -113,6 +113,9 @@ class ScenarioConfig:
         if self.k < 1 or self.reps < 1:
             raise InvalidParameterError("k and reps must be >= 1")
         _check_key_part(self.seed, "seed")
+        if not isinstance(self.scaling, ScalingConfig):
+            raise InvalidParameterError(
+                f"scaling must be a ScalingConfig, got {self.scaling!r}")
 
 
 @dataclass(frozen=True)

@@ -702,6 +702,33 @@ def test_simulate_outputs_and_rerun_identical(tmp_path):
         assert (out / name).read_bytes() == blob
 
 
+def test_simulate_takes_integral_floats_as_integers(tmp_path):
+    # A float with an integral value, such as 6.0, is taken as that integer,
+    # as README promises: the tables, seed and reps are the integer config's.
+    outputs = []
+    for name, sizes in [("ints", {}), ("floats", {"n": 6.0, "k": [300.0, 600],
+                                                  "r": 2.0, "reps": 4.0, "seed": 9.0})]:
+        (tmp_path / name).mkdir()
+        path, _ = write_sim_config(tmp_path / name, **sizes)
+        assert main(["simulate", str(path)]) == 0
+        out = tmp_path / name / "sim"
+        meta = json.loads((out / "meta.json").read_text())
+        outputs.append([(out / table).read_bytes() for table in ("summary.csv", "reps.csv")]
+                       + [json.dumps({key: meta[key] for key in ("seed", "reps")})])
+    assert outputs[1] == outputs[0]
+    assert outputs[0][2] == '{"seed": 9, "reps": 4}'
+
+
+def test_simulate_defaults_are_the_scenario_config_defaults(tmp_path):
+    path, cfg = write_sim_config(tmp_path, k=50)
+    del cfg["reps"], cfg["seed"]
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", str(path)]) == 0
+    meta = json.loads((tmp_path / "sim" / "meta.json").read_text())
+    default = ScenarioConfig("poisson", n=6, k=50, r=2)
+    assert (meta["seed"], meta["reps"]) == (default.seed, default.reps) == (0, 50)
+
+
 def test_simulate_summary_matches_library(tmp_path):
     path, cfg = write_sim_config(tmp_path, k=500)
     assert main(["simulate", str(path)]) == 0

@@ -63,6 +63,14 @@ def test_config_takes_numpy_integers_as_ints():
     assert {type(getattr(cfg, name)) for name in ("n", "k", "r", "reps", "seed")} == {int}
 
 
+@pytest.mark.parametrize("scaling", [{"eta": 0.5}, None, 0.5])
+def test_config_scaling_must_be_a_scaling_config(scaling):
+    # A dict passed and then failed every replication with an AttributeError.
+    message = f"scaling must be a ScalingConfig, got {scaling!r}"
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        ScenarioConfig("poisson", n=15, k=200, r=3, reps=2, scaling=scaling)
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_seed_outside_key_half_is_rejected(seed):
     # Masking to 64 bits would alias -1 with 2**64 - 1 and 2**64 with 0.
