@@ -435,7 +435,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_subsample(args) -> int:
-    from .simulation import rep_rng
+    from .simulation import _check_key_part, rep_rng
     from .subspace_metrics import subspace_distance
 
     if args.reps < 1:
@@ -445,6 +445,7 @@ def cmd_subsample(args) -> int:
         raise CliError("--family is required")
     rank = _parse_rank(args.rank)
     cfg = _scaling(args.c_tilde, args.eta, args.scale, "scaling flags")
+    _check_key_part(args.seed, "seed")
     data = _load_data(args.data, args.transpose).values
     m = read_matrix_csv(args.m)
     k_full, n = data.shape

@@ -1254,6 +1254,8 @@ def test_error_exit_codes(exit_case_files, capsys, code, command):
                  "--family is required", id="subsample-family"),
     pytest.param("subsample {data} {data} --family poisson --k-grid 5 --eta 2",
                  "scaling flags: eta must be in (0, 1], got 2.0", id="subsample-eta"),
+    pytest.param("subsample {data} {data} --family poisson --k-grid 5 --seed -1",
+                 "seed must lie in [0, 2**64), got -1", id="subsample-seed"),
 ])
 def test_flags_are_checked_before_the_data_is_read(tmp_path, capsys, monkeypatch,
                                                    command, message):
