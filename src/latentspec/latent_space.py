@@ -10,6 +10,7 @@ supplied or calibrated from a plateau scan over a candidate grid.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,11 @@ ETA_DEFAULT = 1.0 / 3.0
 # eigenvalue.  Read-only, since every CalibrationTrace holds it.
 GRID = np.geomspace(1e-3, 1e3, 40)
 GRID.flags.writeable = False
+
+
+def _is_real(value) -> bool:
+    # A bool is a numbers.Real, and numpy's bool_ is not.
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -46,13 +52,13 @@ class ScalingConfig:
     scale_coefficient: float | str = "auto"
 
     def __post_init__(self):
-        if not 0 < self.c_tilde < math.inf:
+        if not (_is_real(self.c_tilde) and 0 < self.c_tilde < math.inf):
             raise InvalidParameterError(
                 f"c_tilde must be finite and positive, got {self.c_tilde!r}")
-        if not (0.0 < self.eta <= 1.0):
+        if not (_is_real(self.eta) and 0.0 < self.eta <= 1.0):
             raise InvalidParameterError(f"eta must be in (0, 1], got {self.eta!r}")
         sc = self.scale_coefficient
-        if sc != "auto" and (isinstance(sc, str) or not 0 < sc < math.inf):
+        if sc != "auto" and not (_is_real(sc) and 0 < sc < math.inf):
             raise InvalidParameterError(
                 f"scale_coefficient must be finite and positive, or 'auto', got {sc!r}"
             )

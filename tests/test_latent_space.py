@@ -287,6 +287,23 @@ def test_scaling_config_validation():
             ScalingConfig(**bad)
 
 
+SCALING_ERRORS = {"c_tilde": "c_tilde must be finite and positive",
+                  "eta": "eta must be in (0, 1]",
+                  "scale_coefficient":
+                      "scale_coefficient must be finite and positive, or 'auto'"}
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "abc", None, 1j, [0.5]],
+                         ids=["bool", "numpy-bool", "text", "none", "complex", "list"])
+@pytest.mark.parametrize("name", sorted(SCALING_ERRORS))
+def test_scaling_config_rejects_values_that_are_not_real(name, value):
+    # A bool passed the range checks as 1, and text, None or a complex value
+    # raised a TypeError from the comparison, which is no LatentSpecError.
+    with pytest.raises(InvalidParameterError) as info:
+        ScalingConfig(**{name: value})
+    assert str(info.value) == f"{SCALING_ERRORS[name]}, got {value!r}"
+
+
 # ----------------------------------------------------------- full estimator
 
 def test_estimate_fixed_rank_diagonal_case():
