@@ -1149,6 +1149,11 @@ def exit_case_files(tmp_path):
         "m_nan": [[np.nan, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
         "m_parallel": [[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]],
         "dk_inf": [1.0, np.inf, 1.0, 1.0],
+        "dk_short": [1.0, 1.0, 1.0],
+        "m_wide": np.eye(5)[:2],
+        # Row gram diag(1, 1e-14): a condition number of 1e14.
+        "m_ill": [[1.0, 0.0, 0.0], [0.0, 1e-7, 0.0]],
+        "m3": np.eye(3)[:2],
         "overflow": [[1e200, 2e200], [3e200, 1e200], [2e200, 2e200]],
         # --leek 1 leaves an eigenvalue near -1.8e308, which even "auto"'s
         # fallback coefficient 1 scales past the float range.
@@ -1173,6 +1178,10 @@ def exit_case_files(tmp_path):
     config["output_dir"] = str(tmp_path / "sim")
     (tmp_path / "config_ok.json").write_text(json.dumps(config))
     paths["config_ok"] = str(tmp_path / "config_ok.json")
+    for name, text in [("config_array", json.dumps([config])),
+                       ("config_scaling_3", json.dumps(dict(config, scaling=3)))]:
+        (tmp_path / f"{name}.json").write_text(text)
+        paths[name] = str(tmp_path / f"{name}.json")
     # Configs holding NaN or a number past the float range, written as
     # text; each would write its output to "o", which must not be made.
     config["output_dir"] = str(tmp_path / "o")
@@ -1234,6 +1243,19 @@ SUBSAMPLE = "subsample {y} {m} --family poisson --k-grid 20 --reps 1"
     pytest.param(2, "simulate {c_tilde_huge_int}", id="simulate-c-tilde-huge-integer"),
     pytest.param(2, SUBSAMPLE.replace("--k-grid 20", "--k-grid 20,30:25")
                  + " --rank fixed:2 --out {tmp}/o", id="subsample-reversed-k-grid"),
+    pytest.param(2, "estimate {y} --dk-file {dk_short} --out {tmp}/o",
+                 id="estimate-dk-file-length"),
+    pytest.param(2, "rank-sweep {y} --family poisson --r-grid 1 --m {m_wide} "
+                    "--out {tmp}/s.csv", id="rank-sweep-m-columns"),
+    pytest.param(2, "estimate {y} --family poisson --rank bogus --out {tmp}/o",
+                 id="estimate-rank-bogus"),
+    pytest.param(2, SUBSAMPLE.replace("--k-grid 20", "--k-grid 2,x")
+                 + " --out {tmp}/o", id="subsample-k-grid-entry"),
+    pytest.param(2, SUBSAMPLE.replace("--k-grid 20", "--k-grid ,")
+                 + " --out {tmp}/o", id="subsample-k-grid-empty"),
+    pytest.param(2, "simulate {config_array}", id="simulate-config-array"),
+    pytest.param(2, "simulate {config_scaling_3}", id="simulate-scaling-not-object"),
+    pytest.param(3, "distance {m_ill} {m3}", id="distance-ill-conditioned-reference"),
 ])
 def test_error_exit_codes(exit_case_files, capsys, code, command):
     argv = [arg.format(**exit_case_files) for arg in command.split()]
