@@ -568,7 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="curve.csv")
 
     p = sub.add_parser("rank-sweep",
-                       help="distance versus forced rank, one estimate per rank")
+                       help="distance versus forced rank, from one "
+                       "eigendecomposition sliced per rank")
     p.add_argument("data", help="CSV matrix")
     _add_family_flags(p)
     p.add_argument("--r-grid", required=True,

@@ -20,7 +20,8 @@ class OutOfSupportError(LatentSpecError):
 class SupportViolationError(LatentSpecError):
     """Data entries are outside the family support (wrong family choice).
 
-    Carries up to ``max_report`` offending (row, col) positions.
+    Carries the first offending (row, col) positions, at most
+    ``variance_estimation._MAX_REPORTED_VIOLATIONS`` (20) of them.
     """
 
     def __init__(self, message, locations=()):
