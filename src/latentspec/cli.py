@@ -33,7 +33,7 @@ from .errors import (
     RankDeficientError,
     SupportViolationError,
 )
-from .latent_space import ETA_DEFAULT, ScalingConfig, estimate_latent_space
+from .latent_space import ScalingConfig, estimate_latent_space
 from .matrix_core import DataMatrix, Moments, cpu_count, data_moments, median
 from .matrixio import (
     format_value,
@@ -135,7 +135,11 @@ def _write_table(path, header, rows) -> None:
 
 
 def _family_from_args(args) -> Family | None:
-    return None if args.family is None else Family(args.family, args.s)
+    if args.family is not None:
+        return Family(args.family, args.s)
+    if args.s is not None:
+        raise CliError("--s needs --family")
+    return None
 
 
 def _parse_rank(text: str):
@@ -149,28 +153,22 @@ def _parse_rank(text: str):
     raise CliError(f"rank must be 'auto' or 'fixed:R', got {text!r}")
 
 
-def _scaling(c_tilde: float, eta: float, scale, source: str) -> ScalingConfig:
-    """Scaling from the flags or a config's ``scaling`` object, named by
-    ``source`` in an error; ``scale`` is 'auto', a number or its text."""
-    if scale != "auto":
-        try:
-            scale = float(scale)
-        except ValueError:
-            pass  # ScalingConfig rejects any text but 'auto'
+def _scaling(given: dict, source: str) -> ScalingConfig:
+    """ScalingConfig of the scaling keys ``given`` sets; ``source`` names an error."""
+    fields_of = {"c_tilde": "c_tilde", "eta": "eta", "scale": "scale_coefficient"}
     try:
-        return ScalingConfig(c_tilde=c_tilde, eta=eta, scale_coefficient=scale)
+        return ScalingConfig(**{field: given[key] for key, field in fields_of.items()
+                                if key in given})
     except InvalidParameterError as exc:
         raise CliError(f"{source}: {exc}")
 
 
-def _config_number(value, name: str) -> float:
-    """A JSON number; strings and booleans are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CliError(f"config {name} must be a number, got {value!r}")
+def _number_or_text(text: str):
+    """The float that ``text`` spells, or else the text, such as 'auto'."""
     try:
-        return float(value)
-    except OverflowError:  # an integer past the float range
-        raise CliError(f"config {name} is an integer past the float range")
+        return float(text)
+    except ValueError:
+        return text
 
 
 def _finite_number(text: str) -> float:
@@ -272,7 +270,7 @@ def cmd_estimate(args) -> int:
         raise CliError("exactly one of --family, --leek, --dk-file is required")
     fam = _family_from_args(args)
     rank = _parse_rank(args.rank)
-    cfg = _scaling(args.c_tilde, args.eta, args.scale, "scaling flags")
+    cfg = _scaling(vars(args), "scaling flags")
     moments = _load_moments(args.data, args.transpose, fam)
     k, n = moments.k, moments.n
     if k <= n:
@@ -339,16 +337,7 @@ def cmd_simulate(args) -> int:
     scaling_cfg = cfg.get("scaling", {})
     if not isinstance(scaling_cfg, dict):
         raise CliError("config scaling is not a JSON object")
-    c_tilde = scaling_cfg.get("c_tilde", ScalingConfig.c_tilde)
-    eta = scaling_cfg.get("eta", ETA_DEFAULT)
-    scale = scaling_cfg.get("scale", "auto")
-    if scale != "auto":
-        scale = _config_number(scale, "scaling.scale")
-    scaling = _scaling(
-        _config_number(c_tilde, "scaling.c_tilde"),
-        _config_number(eta, "scaling.eta"),
-        scale, "config scaling",
-    )
+    scaling = _scaling(scaling_cfg, "config scaling")
 
     # Every cell is checked before anything is written.
     configs = _config_cells(cfg, scaling)
@@ -444,7 +433,7 @@ def cmd_subsample(args) -> int:
     if fam is None:
         raise CliError("--family is required")
     rank = _parse_rank(args.rank)
-    cfg = _scaling(args.c_tilde, args.eta, args.scale, "scaling flags")
+    cfg = _scaling(vars(args), "scaling flags")
     _check_key_part(args.seed, "seed")
     data = _load_data(args.data, args.transpose).values
     m = read_matrix_csv(args.m)
@@ -506,11 +495,12 @@ def cmd_rank_sweep(args) -> int:
 
 
 def _add_scaling_flags(p) -> None:
-    p.add_argument("--c-tilde", type=float, default=ScalingConfig.c_tilde,
+    # A flag not given sets no attribute, so ScalingConfig's default holds.
+    p.add_argument("--c-tilde", type=float, default=argparse.SUPPRESS,
                    help="rank threshold on the scaled eigenvalues")
-    p.add_argument("--eta", type=float, default=ETA_DEFAULT,
+    p.add_argument("--eta", type=float, default=argparse.SUPPRESS,
                    help="decay exponent of the eigenvalue scale")
-    p.add_argument("--scale", default="auto",
+    p.add_argument("--scale", type=_number_or_text, default=argparse.SUPPRESS,
                    help="scale coefficient, a number or 'auto'")
 
 

@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types, and the rules for scalars, shared across the package."""
+
+import numbers
+import operator
 
 
 class LatentSpecError(Exception):
@@ -43,6 +46,23 @@ class RankDeficientError(LatentSpecError):
 
 class InvalidParameterError(LatentSpecError):
     """A distribution or configuration parameter is invalid."""
+
+
+def as_real(value) -> float | None:
+    """``value`` as a float if it is a ``numbers.Real`` but no bool, in the float
+    range; None otherwise, for the caller to reject with its own message."""
+    try:
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        return float(value) if real else None
+    except OverflowError:  # an integer past the float range
+        return None
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` as an int if it is no bool and has ``__index__``, as no float has."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 class NotOrthonormalWarning(UserWarning):

@@ -10,16 +10,13 @@ supplied or calibrated from a plateau scan over a candidate grid.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, LengthMismatchError
+from .errors import InvalidParameterError, LengthMismatchError, as_integer, as_real
 from .matrix_core import SymmetricEigen, as_moments, median, sym_eigen
 from .variance_estimation import VarianceEstimate
-
-ETA_DEFAULT = 1.0 / 3.0
 
 # Candidate thresholds of the plateau scan, in units of the median positive
 # eigenvalue.  Read-only, since every CalibrationTrace holds it.
@@ -27,17 +24,16 @@ GRID = np.geomspace(1e-3, 1e3, 40)
 GRID.flags.writeable = False
 
 
-def _is_real(value) -> bool:
-    # A bool is a numbers.Real, and numpy's bool_ is not.
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ScalingConfig:
     """Threshold c_tilde, decay exponent eta, and the scale coefficient.
 
-    ``scale_coefficient`` is either a finite positive number used as-is or the
+    ``c_tilde`` is finite and positive, ``eta`` in (0, 1], and
+    ``scale_coefficient`` either finite and positive, used as-is, or the
     string "auto", which triggers plateau calibration on the eigenvalues.
+    Each number is a real number other than a bool (an int, a float or a
+    numpy floating or integer scalar) within the float range, and is stored
+    as a Python float; anything else raises InvalidParameterError.
 
     Under "auto" the rank reads neither k nor eta: ``calibrate_scale``
     scans thresholds c_tilde * GRID * median in units of the median
@@ -48,20 +44,25 @@ class ScalingConfig:
     """
 
     c_tilde: float = 1.0
-    eta: float = ETA_DEFAULT
+    eta: float = 1.0 / 3.0
     scale_coefficient: float | str = "auto"
 
     def __post_init__(self):
-        if not (_is_real(self.c_tilde) and 0 < self.c_tilde < math.inf):
+        sc = self.scale_coefficient
+        c_tilde, eta = as_real(self.c_tilde), as_real(self.eta)
+        coeff = sc if isinstance(sc, str) and sc == "auto" else as_real(sc)
+        if c_tilde is None or not 0 < c_tilde < math.inf:
             raise InvalidParameterError(
                 f"c_tilde must be finite and positive, got {self.c_tilde!r}")
-        if not (_is_real(self.eta) and 0.0 < self.eta <= 1.0):
+        if eta is None or not 0.0 < eta <= 1.0:
             raise InvalidParameterError(f"eta must be in (0, 1], got {self.eta!r}")
-        sc = self.scale_coefficient
-        if sc != "auto" and not (_is_real(sc) and 0 < sc < math.inf):
+        if coeff != "auto" and (coeff is None or not 0 < coeff < math.inf):
             raise InvalidParameterError(
                 f"scale_coefficient must be finite and positive, or 'auto', got {sc!r}"
             )
+        for name, value in (("c_tilde", c_tilde), ("eta", eta),
+                            ("scale_coefficient", coeff)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ def calibrate_scale(eigenvalues, k: int,
     flagged.  An anchor past the float range raises InvalidParameterError.
     """
     vals = np.asarray(eigenvalues, dtype=float).reshape(-1)
-    if k < 1:
+    if as_integer(k, "k") < 1:
         raise InvalidParameterError("k must be >= 1")
     pos = vals[vals > 0]
     with np.errstate(over="ignore"):
@@ -216,14 +217,13 @@ def estimate_rank(eigenvalues, k: int,
     raises InvalidParameterError.
     """
     cfg = cfg if cfg is not None else ScalingConfig()
+    k = as_integer(k, "k")
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
     vals = np.asarray(eigenvalues, dtype=float).reshape(-1)
-    trace = None
-    if isinstance(cfg.scale_coefficient, str):
+    coeff, trace = cfg.scale_coefficient, None
+    if isinstance(coeff, str):
         coeff, trace = calibrate_scale(vals, k, cfg)
-    else:
-        coeff = float(cfg.scale_coefficient)
     tau = coeff * float(k) ** (-cfg.eta)
     with np.errstate(all="ignore"):
         scaled = vals / tau
@@ -239,7 +239,7 @@ def estimate_rank(eigenvalues, k: int,
         c_tilde=cfg.c_tilde,
         scale_coefficient=coeff,
         eta=cfg.eta,
-        k=int(k),
+        k=k,
         calibration=trace,
     )
 
@@ -250,8 +250,10 @@ def estimate_latent_space(y, d, rank="auto",
 
     Pipeline: adjusted gram -> eigendecomposition -> rank (automatic via
     ``cfg`` or a fixed integer) -> leading eigenvectors as the rows of the
-    estimate.  ``y`` is a data matrix or its Moments.  Deterministic given
-    identical inputs.
+    estimate.  ``y`` is a data matrix or its Moments.  ``rank`` is "auto"
+    or an integer in [1, n]: an int or a numpy integer, not a bool nor a
+    float, however integral; anything else raises InvalidParameterError.
+    Deterministic given identical inputs.
 
     An automatic rank of zero yields the distinct empty-subspace result
     (zero-row basis) rather than an error.
@@ -266,7 +268,7 @@ def estimate_latent_space(y, d, rank="auto",
             raise InvalidParameterError("rank must be 'auto' or an integer")
         rank_record = estimate_rank(eig.eigenvalues, k, cfg)
         return SubspaceEstimate(eig, rank_record.r_hat, rank_record)
-    fixed = int(rank)
+    fixed = as_integer(rank, "fixed rank")
     if not (1 <= fixed <= n):
         raise InvalidParameterError(
             f"fixed rank must be in [1, n={n}], got {fixed}"

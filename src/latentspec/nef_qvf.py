@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, as_real
 
 # One row per family: whether it takes s; (b0, b1, b2) as a function of s;
 # and the support: its lower end (None: the whole line), whether that end is
@@ -39,7 +39,11 @@ class Family:
     """One of the six distributions, with auxiliary parameter ``s``.
 
     ``s`` is the binomial trial count, negative binomial size, gamma shape,
-    or GHS shape; it is absent for normal (unit variance) and poisson.
+    or GHS shape; it is absent for normal (unit variance) and poisson.  It
+    is a finite positive real number other than a bool (an int, a float or
+    a numpy floating or integer scalar), a whole number >= 2 for the
+    binomial, and is stored as a Python float; anything else raises
+    InvalidParameterError.
     """
 
     kind: str
@@ -48,17 +52,16 @@ class Family:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise InvalidParameterError(f"unknown family kind {self.kind!r}")
-        kind, s = self.kind, self.s
+        kind, s = self.kind, as_real(self.s)
         takes_s, _, _, _, _, s_caps = _FAMILIES[kind]
-        if not takes_s and s is not None:
+        if not takes_s and self.s is not None:
             raise InvalidParameterError(f"family {kind!r} takes no parameter s")
-        if takes_s and (s is None or not np.isfinite(s) or s <= 0):
+        if takes_s and (s is None or not 0 < s < np.inf):
             raise InvalidParameterError(f"family {kind!r} needs a positive parameter s")
         # A trial count; s >= 2 keeps b2 = -1/s off -1, where 1 + b2 = 0.
-        if s_caps and (float(s) != int(s) or s < 2):
+        if s_caps and (not s.is_integer() or s < 2):
             raise InvalidParameterError(f"{kind} trial count s must be an integer >= 2")
-        if takes_s:
-            object.__setattr__(self, "s", float(s))
+        object.__setattr__(self, "s", s)  # None when the family takes no s
 
 
 def normal() -> Family:

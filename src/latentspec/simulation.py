@@ -25,12 +25,11 @@ rounding, computed in closed form from the k x r coefficients alone.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, OutOfSupportError
+from .errors import InvalidParameterError, OutOfSupportError, as_integer
 from .latent_space import ScalingConfig, estimate_latent_space
 from .matrix_core import (
     _BLOCK_ENTRIES,
@@ -74,7 +73,7 @@ def _check_key_part(value: int, name: str) -> None:
 
 def rep_rng(seed: int, rep_index: int) -> np.random.Generator:
     """Stateless per-replication stream: Philox keyed by (seed, rep_index)."""
-    seed, rep_index = int(seed), int(rep_index)
+    seed, rep_index = as_integer(seed, "seed"), as_integer(rep_index, "rep_index")
     _check_key_part(seed, "seed")
     _check_key_part(rep_index, "rep_index")
     return np.random.Generator(np.random.Philox(key=(seed << 64) | rep_index))
@@ -103,10 +102,7 @@ class ScenarioConfig:
     def __post_init__(self):
         scenario_family(self.scenario)  # rejects an unknown scenario
         for name in ("n", "k", "r", "reps", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not hasattr(value, "__index__"):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if not (1 <= self.r < self.n):
             raise InvalidParameterError("need 1 <= r < n")
         check_columns(self.n)

@@ -18,6 +18,7 @@ from .errors import (
     InvalidParameterError,
     LengthMismatchError,
     SupportViolationError,
+    as_integer,
 )
 from .matrix_core import Moments, as_data, as_moments, data_moments, sym_eigen
 from .nef_qvf import Family, in_support, qvf_coefficients, qvf_transform
@@ -117,11 +118,14 @@ def estimate_dk_leek(y, t: int) -> VarianceEstimate:
     squared singular values of Y over k), the pooled estimate is
     sigma^2 = (sum of l_j for j = t..n) / (n - t), and every diagonal entry
     is set to it.  Meaningful use needs t larger than the true rank.
-    ``y`` is a data matrix or its Moments.
+    ``y`` is a data matrix or its Moments.  ``t`` is an integer in [1, n):
+    an int or a numpy integer, not a bool nor a float, however integral;
+    anything else raises InvalidParameterError, and t = n raises
+    DegenerateTailError.
     """
     m = as_moments(y)
     n = m.n
-    t = int(t)
+    t = as_integer(t, "t")
     if t < 1 or t > n:
         raise InvalidParameterError(f"t must be in [1, n={n}], got {t}")
     if t == n:

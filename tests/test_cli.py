@@ -729,6 +729,37 @@ def test_simulate_defaults_are_the_scenario_config_defaults(tmp_path):
     assert (meta["seed"], meta["reps"]) == (default.seed, default.reps) == (0, 50)
 
 
+@pytest.mark.parametrize("scaling", [None, {}, {"c_tilde": 1, "note": "x"},
+                                     {"eta": 1.0 / 3.0, "scale": "auto"}],
+                         ids=["absent", "empty", "c-tilde-only", "eta-and-scale"])
+def test_simulate_scaling_keys_default_to_scaling_config(tmp_path, scaling):
+    # Each scaling key the config leaves out takes ScalingConfig's default,
+    # and a key ScalingConfig has no field for is not read.
+    outputs = []
+    for name, given in [("full", {"c_tilde": 1.0, "eta": 1.0 / 3.0, "scale": "auto"}),
+                        ("part", scaling)]:
+        path, cfg = write_sim_config(tmp_path, k=300, output_dir=str(tmp_path / name))
+        if given is None:
+            del cfg["scaling"]
+        else:
+            cfg["scaling"] = given
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", str(path)]) == 0
+        outputs.append([(tmp_path / name / f).read_bytes()
+                        for f in ("summary.csv", "reps.csv")])
+    assert outputs[0] == outputs[1]
+
+
+def test_estimate_scaling_flags_default_to_scaling_config(tmp_path, poisson_fixture):
+    _, y_path, _ = poisson_fixture
+    argv = ["estimate", str(y_path), "--family", "poisson"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--c-tilde", "1", "--eta", repr(1.0 / 3.0), "--scale", "auto",
+                        "--out", str(tmp_path / "b")]) == 0
+    for name in ("rank.json", "m_hat.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_simulate_summary_matches_library(tmp_path):
     path, cfg = write_sim_config(tmp_path, k=500)
     assert main(["simulate", str(path)]) == 0
@@ -838,9 +869,10 @@ SCALE_ERROR = "scale_coefficient must be finite and positive, or 'auto'"
 def test_bad_scale_prints_one_message(tmp_path, capsys, poisson_fixture,
                                       value, got, text):
     # ScalingConfig is the one home of the rule, and names the value it
-    # rejects; the command line only names where the values came from.  A
-    # config holding NaN or Infinity is not read at all, as no config number
-    # may be non-finite, and a config scale that is text is not a number.
+    # rejects, as the flag's text parsed or the config's JSON value; the
+    # command line only names where the values came from.  A config holding
+    # NaN or Infinity is not read at all, as no config number may be
+    # non-finite.
     _, y_path, _ = poisson_fixture
     assert main(["estimate", str(y_path), "--family", "poisson", "--scale",
                  value, "--out", str(tmp_path / "o")]) == 2
@@ -849,9 +881,9 @@ def test_bad_scale_prints_one_message(tmp_path, capsys, poisson_fixture,
     path, cfg = write_sim_config(tmp_path)
     path.write_text(json.dumps(cfg).replace('"scale": "auto"', f'"scale": {text}'))
     assert main(["simulate", str(path)]) == 2
-    want = {"-1": f"error: config scaling: {SCALE_ERROR}, got -1.0",
-            "0": f"error: config scaling: {SCALE_ERROR}, got 0.0",
-            "abc": "error: config scaling.scale must be a number, got 'abc'",
+    want = {"-1": f"error: config scaling: {SCALE_ERROR}, got -1",
+            "0": f"error: config scaling: {SCALE_ERROR}, got 0",
+            "abc": f"error: config scaling: {SCALE_ERROR}, got 'abc'",
             }.get(value, f"error: cannot read config {path}: number {text} is not finite")
     assert capsys.readouterr().err.splitlines() == [want]
     assert not (tmp_path / "o").exists() and not (tmp_path / "sim").exists()
@@ -1150,6 +1182,7 @@ def exit_case_files(tmp_path):
         "m_parallel": [[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]],
         "dk_inf": [1.0, np.inf, 1.0, 1.0],
         "dk_short": [1.0, 1.0, 1.0],
+        "dk": [1.0, 1.0, 1.0, 1.0],
         "m_wide": np.eye(5)[:2],
         # Row gram diag(1, 1e-14): a condition number of 1e14.
         "m_ill": [[1.0, 0.0, 0.0], [0.0, 1e-7, 0.0]],
@@ -1256,6 +1289,10 @@ SUBSAMPLE = "subsample {y} {m} --family poisson --k-grid 20 --reps 1"
     pytest.param(2, "simulate {config_array}", id="simulate-config-array"),
     pytest.param(2, "simulate {config_scaling_3}", id="simulate-scaling-not-object"),
     pytest.param(3, "distance {m_ill} {m3}", id="distance-ill-conditioned-reference"),
+    pytest.param(2, "estimate {y} --leek 2 --s 20 --out {tmp}/o",
+                 id="estimate-s-without-family-leek"),
+    pytest.param(2, "estimate {y} --dk-file {dk} --s 5 --out {tmp}/o",
+                 id="estimate-s-without-family-dk-file"),
 ])
 def test_error_exit_codes(exit_case_files, capsys, code, command):
     argv = [arg.format(**exit_case_files) for arg in command.split()]
@@ -1278,6 +1315,8 @@ def test_error_exit_codes(exit_case_files, capsys, code, command):
                  "scaling flags: eta must be in (0, 1], got 2.0", id="subsample-eta"),
     pytest.param("subsample {data} {data} --family poisson --k-grid 5 --seed -1",
                  "seed must lie in [0, 2**64), got -1", id="subsample-seed"),
+    pytest.param("estimate {data} --leek 2 --s 20", "--s needs --family",
+                 id="estimate-s-without-family"),
 ])
 def test_flags_are_checked_before_the_data_is_read(tmp_path, capsys, monkeypatch,
                                                    command, message):

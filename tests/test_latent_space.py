@@ -1,5 +1,7 @@
 """Adjusted gram, rank selection, scale calibration, latent-space estimate."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -293,15 +295,38 @@ SCALING_ERRORS = {"c_tilde": "c_tilde must be finite and positive",
                       "scale_coefficient must be finite and positive, or 'auto'"}
 
 
-@pytest.mark.parametrize("value", [True, np.True_, "abc", None, 1j, [0.5]],
-                         ids=["bool", "numpy-bool", "text", "none", "complex", "list"])
+@pytest.mark.parametrize("value", [True, np.True_, "abc", None, 1j, [0.5], 10 ** 400],
+                         ids=["bool", "numpy-bool", "text", "none", "complex", "list",
+                              "integer-past-float-range"])
 @pytest.mark.parametrize("name", sorted(SCALING_ERRORS))
 def test_scaling_config_rejects_values_that_are_not_real(name, value):
     # A bool passed the range checks as 1, and text, None or a complex value
     # raised a TypeError from the comparison, which is no LatentSpecError.
+    # An integer past the float range passed, and estimate_rank then raised
+    # an OverflowError.
     with pytest.raises(InvalidParameterError) as info:
         ScalingConfig(**{name: value})
     assert str(info.value) == f"{SCALING_ERRORS[name]}, got {value!r}"
+
+
+def test_scaling_config_stores_python_floats():
+    cfg = ScalingConfig(c_tilde=2, eta=np.float32(0.5), scale_coefficient=np.int64(3))
+    assert (cfg.c_tilde, cfg.eta, cfg.scale_coefficient) == (2.0, 0.5, 3.0)
+    assert {type(v) for v in (cfg.c_tilde, cfg.eta, cfg.scale_coefficient)} == {float}
+    assert ScalingConfig(c_tilde=2) == ScalingConfig(c_tilde=2.0)
+
+
+@pytest.mark.parametrize("k", [1000.0, 1000.5, True, "1000", None])
+def test_rank_calibration_k_must_be_an_integer(k):
+    # A float k was used as it is, and True as 1.
+    vals = np.array([5.0, 1.0, 0.1])
+    for call in (estimate_rank, calibrate_scale):
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape(f"k must be an integer, got {k!r}")):
+            call(vals, k, ScalingConfig())
+    est = estimate_rank(vals, np.int64(1000))
+    assert est.r_hat == estimate_rank(vals, 1000).r_hat
+    assert est.k == 1000 and type(est.k) is int
 
 
 # ----------------------------------------------------------- full estimator
@@ -408,6 +433,17 @@ def test_estimate_fixed_rank_validation():
         estimate_latent_space(y, np.zeros(3), rank=4)
     with pytest.raises(InvalidParameterError):
         estimate_latent_space(y, np.zeros(3), rank="all")
+
+
+@pytest.mark.parametrize("rank", [2.7, 2.0, True, None])
+def test_fixed_rank_must_be_an_integer(rank):
+    # int() truncated 2.7 to 2 and took True as 1.
+    y = np.diag([3.0, 2.0, 1.0])
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape(f"fixed rank must be an integer, got {rank!r}")):
+        estimate_latent_space(y, np.zeros(3), rank=rank)
+    est = estimate_latent_space(y, np.zeros(3), rank=np.int64(2))
+    assert est.r_hat == 2 and type(est.r_hat) is int
 
 
 def test_estimate_deterministic():

@@ -176,6 +176,19 @@ def test_family_validation():
         Family("cauchy")
 
 
+@pytest.mark.parametrize("value", [True, np.True_, "2", [3], 1j, 10 ** 400],
+                         ids=["bool", "numpy-bool", "text", "list", "complex",
+                              "integer-past-float-range"])
+@pytest.mark.parametrize("kind", ["binomial", "negbin", "gamma", "ghs"])
+def test_family_rejects_s_that_is_not_real(kind, value):
+    # True was taken as s = 1; the other values raised a TypeError.
+    with pytest.raises(InvalidParameterError,
+                       match=f"family '{kind}' needs a positive parameter s"):
+        Family(kind, value)
+    f = Family(kind, np.int64(4))
+    assert f == Family(kind, 4.0) and type(f.s) is float
+
+
 @pytest.mark.parametrize("f", ALL_FAMILIES, ids=lambda f: f.kind)
 @pytest.mark.parametrize("bad", [None, -1.0, -0.0, 0.0, 0.5, 20.5, 21.0, 1e300])
 def test_data_in_support_matches_mask(f, bad):

@@ -82,6 +82,17 @@ def test_seed_outside_key_half_is_rejected(seed):
         rep_rng(0, seed)
 
 
+@pytest.mark.parametrize("value", [2.7, 3.0, True, "3"])
+def test_rep_rng_key_parts_must_be_integers(value):
+    # int() truncated 2.7 to 2 and took True as 1.
+    with pytest.raises(InvalidParameterError, match="seed must be an integer"):
+        rep_rng(value, 0)
+    with pytest.raises(InvalidParameterError, match="rep_index must be an integer"):
+        rep_rng(0, value)
+    assert (rep_rng(np.uint64(3), np.int8(1)).random()
+            == rep_rng(3, 1).random())
+
+
 def test_seed_key_half_ends_are_accepted():
     for seed in (0, 2 ** 64 - 1):
         ScenarioConfig(scenario="normal", n=10, k=100, r=2, seed=seed)

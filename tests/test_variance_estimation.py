@@ -257,6 +257,17 @@ def test_leek_degenerate_tail_and_bad_t():
         estimate_dk_leek(y, t=4)
 
 
+@pytest.mark.parametrize("t", [2.7, 2.0, True, "3", None])
+def test_leek_t_must_be_an_integer(t):
+    # int() truncated 2.7 to 2, took True as 1 and parsed "3".
+    y = np.arange(24.0).reshape(6, 4)
+    with pytest.raises(InvalidParameterError, match="t must be an integer"):
+        estimate_dk_leek(y, t)
+    got, want = estimate_dk_leek(y, np.int64(2)), estimate_dk_leek(y, 2)
+    assert got.method == want.method == "leek:t=2"
+    np.testing.assert_array_equal(got.deltas, want.deltas)
+
+
 # ---------------------------------------------------------------- dk_error
 
 def test_dk_error_examples():
